@@ -13,10 +13,12 @@ from .grids import (
     cubic_interp,
     embedding_bound,
     embedding_constant,
+    interp_point,
     make_grid,
     norm_ladder,
     read_field_csv,
     reality_defect,
+    shift_rows,
     sobolev_norm,
     write_field_csv,
 )

@@ -8,17 +8,15 @@ Exit-code contract (stable, for CI consumption):
     3  configuration invariant violation (message includes the corrected bound)
 
 All artifacts are CSV (series) or JSON (reports) with 17-significant-digit
-floats, so identical configs reproduce byte-identical outputs.  The env var
-HMF_THREADS caps the BLAS thread pool when threadpoolctl is available; it
-can only affect speed, never results (the numerical paths use deterministic
-pairwise reductions throughout).
+floats, so identical configs reproduce byte-identical outputs, also under
+different BLAS thread counts (tests/test_cli.py checks run-sim under one and
+two OpenBLAS threads).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import warnings
@@ -514,19 +512,7 @@ def run_preset(name: str, out: str | None = None) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _limit_threads() -> None:
-    n = os.environ.get("HMF_THREADS")
-    if not n:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=int(n))
-    except Exception:
-        pass  # speed hint only; results never depend on it
-
-
 def main(argv=None) -> int:
-    _limit_threads()
     parser = argparse.ArgumentParser(prog="hmflab",
                                      description="Spectral laboratory for the gliding-frame mean-field kinetic model")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -29,6 +29,8 @@ Anything outside the window (|n| > n_max or |xi| > xi_max) is exactly zero.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from math import comb
 
@@ -39,6 +41,8 @@ __all__ = [
     "SpectralField",
     "make_grid",
     "cubic_interp",
+    "interp_point",
+    "shift_rows",
     "sobolev_norm",
     "norm_ladder",
     "embedding_constant",
@@ -157,6 +161,14 @@ class SpectralField:
         return SpectralField(self.grid, symmetrized_values(self.values), self.real_valued)
 
 
+def _lagrange_weights(th):
+    """Four-point Lagrange weights at fractional offset ``th`` (scalar or array)."""
+    return (-th * (th - 1.0) * (th - 2.0) / 6.0,
+            (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0,
+            -th * (th + 1.0) * (th - 2.0) / 2.0,
+            th * (th + 1.0) * (th - 1.0) / 6.0)
+
+
 def cubic_interp(row: np.ndarray, grid: PhaseGrid, targets):
     """
     Four-point Lagrange interpolation of one mode row on the uniform xi grid.
@@ -175,31 +187,114 @@ def cubic_interp(row: np.ndarray, grid: PhaseGrid, targets):
     padded[2:-2] = row
     base = np.clip(i0 + 2, 1, grid.n_xi + 1)
 
-    wm1 = -th * (th - 1.0) * (th - 2.0) / 6.0
-    w0 = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
-    w1 = -th * (th + 1.0) * (th - 2.0) / 2.0
-    w2 = th * (th + 1.0) * (th - 1.0) / 6.0
-
+    wm1, w0, w1, w2 = _lagrange_weights(th)
     out = (wm1 * padded[base - 1] + w0 * padded[base]
            + w1 * padded[base + 1] + w2 * padded[base + 2])
     out[np.abs(t) > grid.xi_max] = 0.0
     return out[0] if scalar else out
 
 
-def _second_derivative(u: np.ndarray, dxi: float) -> np.ndarray:
-    """Fourth-order centered d^2/dxi^2 along the last axis, zero extension."""
+def interp_point(row: np.ndarray, grid: PhaseGrid, target: float) -> complex:
+    """
+    :func:`cubic_interp` at one target, in Python scalars.
+
+    Same position, clipping, weight formulas and summation order as the
+    array path, so the result is bitwise equal; it only skips the array
+    set-up, which dominates the cost of a single read.
+    """
+    x = float(target)
+    if abs(x) > grid.xi_max:
+        return 0j
+    n = grid.n_xi
+    pos = (x + grid.xi_max) / grid.dxi
+    i0 = math.floor(pos)
+    b = min(max(i0, -1), n - 1)
+    wm1, w0, w1, w2 = _lagrange_weights(pos - i0)
+    taps = [complex(row[i]) if 0 <= i < n else 0j for i in range(b - 1, b + 3)]
+    return wm1 * taps[0] + w0 * taps[1] + w1 * taps[2] + w2 * taps[3]
+
+
+def shift_rows(block: np.ndarray, grid: PhaseGrid, shift: float) -> np.ndarray:
+    """
+    Every row of ``block`` read at ``xi - shift``: one four-tap stencil.
+
+    On the uniform grid the fractional offset of ``xi_j - shift`` is the same
+    for every node, so all rows share one floor and four scalar weights
+    (the semi-Lagrangian shift).  Zero extension beyond the grid and the
+    exact zeros for ``|xi_j - shift| > xi_max`` are those of
+    :func:`cubic_interp`, which this matches to roundoff.
+    """
+    n = grid.n_xi
+    x = -float(shift) / grid.dxi
+    f = math.floor(x)
+    out = np.zeros(block.shape, dtype=np.complex128)
+    t = grid.xi - shift
+    lo = int(np.searchsorted(t, -grid.xi_max, side="left"))
+    hi = int(np.searchsorted(t, grid.xi_max, side="right"))
+    for tap, w in zip(range(f - 1, f + 3), _lagrange_weights(x - f)):
+        a, b = max(lo, -tap), min(hi, n - tap)
+        if a < b:
+            out[..., a:b] += w * block[..., a + tap:b + tap]
+    return out
+
+
+def _weight_stencil(u: np.ndarray) -> np.ndarray:
+    """S u = 12 dxi^2 * (-d^2/dxi^2) u along the last axis: the integer stencil
+    (1, -16, 30, -16, 1) with zero extension."""
     pad = np.zeros(u.shape[:-1] + (u.shape[-1] + 4,), dtype=u.dtype)
     pad[..., 2:-2] = u
-    return (-pad[..., :-4] + 16.0 * pad[..., 1:-3] - 30.0 * pad[..., 2:-2]
-            + 16.0 * pad[..., 3:-1] - pad[..., 4:]) / (12.0 * dxi * dxi)
+    return (pad[..., :-4] - 16.0 * pad[..., 1:-3] + 30.0 * pad[..., 2:-2]
+            - 16.0 * pad[..., 3:-1] + pad[..., 4:])
 
 
-def apply_velocity_weight(u: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """Apply (1 - d^2/dxi^2)^{m0} along the last axis."""
-    w = u
-    for _ in range(grid.m0):
-        w = w - _second_derivative(w, grid.dxi)
-    return w
+@functools.lru_cache(maxsize=8)
+def _ladder_plan(grid: PhaseGrid, max_order: int):
+    """
+    Static tables of :func:`norm_ladder`, cached per grid content and order.
+
+    Against the neighbour products R_d[k, j] = Re(conj(u[k, j]) u[k, j+d])
+    they give, for each order q, the identity part and the first stencil
+    power of the weight:
+
+        sum_j ident[q, j] R_0[k, j]  and  sum_j sum_{d=0..2} bands[q, d, j] R_d[k, j],
+
+    with ident[q] = h_j xi_j^{2q} and bands[q, d] = c_d[j] (xi_j xi_{j+d})^q,
+    where h are the trapezoid weights over dxi (1, and 1/2 at both ends),
+    c_0 = 30 h_j, c_1 = -16 (h_j + h_{j+1}) and c_2 = h_j + h_{j+2}: the
+    stencil S of :func:`_weight_stencil` folded onto d >= 0.  These
+    coefficients are small integers times xi products, so a stencil row
+    cancels in exact coefficients, as it does when S is applied to the data.
+    ``kfac[m]`` is sum_{p <= m} n^{2p} per mode.
+    """
+    n = grid.n_xi
+    half = np.ones(n)
+    half[[0, -1]] = 0.5
+    xi = grid.xi
+    ident = np.empty((max_order + 1, n))
+    bands = np.empty((max_order + 1, 3, n))
+    ident[0] = half
+    bands[0] = 0.0
+    bands[0, 0] = 30.0 * half
+    bands[0, 1, : n - 1] = -16.0 * (half[:-1] + half[1:])
+    bands[0, 2, : n - 2] = half[:-2] + half[2:]
+    pair = np.zeros((3, n))
+    pair[0] = xi * xi
+    pair[1, : n - 1] = xi[:-1] * xi[1:]
+    pair[2, : n - 2] = xi[:-2] * xi[2:]
+    for q in range(1, max_order + 1):
+        ident[q] = ident[q - 1] * pair[0]
+        bands[q] = bands[q - 1] * pair
+
+    k2 = grid.modes.astype(float) ** 2
+    kfac = np.empty((max_order + 1, k2.size))
+    kfac[0] = 1.0
+    acc = np.ones_like(k2)
+    for m in range(1, max_order + 1):
+        acc = acc * k2
+        kfac[m] = kfac[m - 1] + acc
+    for table in (ident, bands, kfac):
+        table.flags.writeable = False
+    return ident, bands, kfac
 
 
 def norm_ladder(field: SpectralField, max_order: int) -> np.ndarray:
@@ -210,34 +305,65 @@ def norm_ladder(field: SpectralField, max_order: int) -> np.ndarray:
     -------
     ndarray, shape (max_order + 1,)
         ``out[n]`` is the order-n norm.  The shared building blocks
-        W_q[k] = Re <(1 - d^2)^{m0} (xi^q ghat_k), xi^q ghat_k> are computed
-        once per q, so the full ladder costs barely more than the top order.
+        W_q[k] = Re <(1 - d^2)^{m0} (xi^q ghat_k), xi^q ghat_k> expand the
+        weight as sum_r binom(m0, r) S^r / (12 dxi^2)^r.  The r = 0 and r = 1
+        terms are a banded quadratic form in the neighbour products of the
+        state, formed once per call against cached coefficients (see
+        :func:`_ladder_plan`).  Higher powers, present only for m0 >= 2, are
+        evaluated as <S(h xi^q ghat), S^{r-1}(xi^q ghat)>, with h the
+        trapezoid weights over dxi, because an explicit band of S^r would
+        lose digits to cancellation.  Every order is reduced on its own in a
+        fixed order, so ``out[n]`` does not depend on ``max_order``.
     """
     if max_order < 0:
         raise ValueError(f"norm order must be >= 0, got {max_order}")
     grid = field.grid
-    tw = grid.trapz_weights()
-    W = np.empty((max_order + 1, grid.shape[0]))
+    ident, bands, kfac = _ladder_plan(grid, max_order)
     u = field.values
-    for q in range(max_order + 1):
-        if q:
-            u = u * grid.xi
-        a = apply_velocity_weight(u, grid)
-        W[q] = np.add.reduce((np.conj(u) * a).real * tw, axis=1)
+    n = grid.n_xi
+    # products over the rows laid end to end, one pass per d; the d entries
+    # that pair a row's end with the next row are zeroed
+    flat = u.reshape(-1)
+    re, im = flat.real, flat.imag
+    size = flat.size
+    prods = np.empty((3, size))
+    tmp = np.empty(size)
+    for d in range(3):
+        m = size - d
+        np.multiply(re[:m], re[d:], out=prods[d, :m])
+        prods[d, :m] += np.multiply(im[:m], im[d:], out=tmp[:m])
+    prods = prods.reshape((3,) + u.shape)
+    prods[1, :, n - 1:] = 0.0
+    prods[2, :, n - 2:] = 0.0
 
-    k2 = grid.modes.astype(float) ** 2
+    scale = [grid.dxi * comb(grid.m0, r) / (12.0 * grid.dxi * grid.dxi) ** r
+             for r in range(grid.m0 + 1)]
+    # identity terms have no cancellation: one reduction per (q, k) over j
+    W = scale[0] * np.einsum("kj,qj->qk", prods[0], ident)
+    for q in range(max_order + 1):
+        # the three stencil terms meet at each j before the sum over j
+        W[q] += scale[1] * np.add.reduce(np.einsum("dkj,dj->kj", prods, bands[q]), axis=1)
+    if grid.m0 > 1:
+        end_column = np.array([30.0, -16.0, 1.0])     # S e_0 near the first node
+        a = u
+        for q in range(max_order + 1):
+            if q:
+                a = a * grid.xi
+            right = _weight_stencil(a)
+            # S(h a) is S a less half of the two end nodes' stencil columns
+            left = right.copy()
+            left[:, :3] -= 0.5 * a[:, :1] * end_column
+            left[:, -3:] -= 0.5 * a[:, -1:] * end_column[::-1]
+            left = np.conj(left)
+            for r in range(2, grid.m0 + 1):
+                if r > 2:
+                    right = _weight_stencil(right)
+                W[q] += scale[r] * np.add.reduce((left * right).real, axis=1)
+
     norms2 = np.empty(max_order + 1)
-    for n in range(max_order + 1):
-        total = 0.0
-        for q in range(n + 1):
-            # sum_{p=0}^{n-q} k^{2p} per mode
-            kfac = np.ones_like(k2)
-            acc = np.ones_like(k2)
-            for _ in range(n - q):
-                acc = acc * k2
-                kfac = kfac + acc
-            total += float(np.add.reduce(kfac * W[q]))
-        norms2[n] = max(total, 0.0)
+    for order in range(max_order + 1):
+        # sum over q <= order of kfac[order - q] . W[q]
+        norms2[order] = max(float(np.add.reduce((kfac[order::-1] * W[: order + 1]).ravel())), 0.0)
     return np.sqrt(norms2)
 
 

@@ -98,17 +98,18 @@ def tabulated(v: np.ndarray, eta: np.ndarray, mass: float | None = None) -> Homo
     return prof
 
 
-# Cache of quadrature nodes for tabulated transforms, keyed by profile id and
-# the largest |xi| the rule was built for.
-_QUAD_CACHE: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _tabulated_rule(prof: HomogeneousProfile, xi_abs_max: float):
-    """Gauss-Legendre nodes/weights resolving exp(-i*xi*v) up to xi_abs_max."""
-    key = id(prof)
-    cached = _QUAD_CACHE.get(key)
+    """
+    Gauss-Legendre nodes/weights resolving exp(-i*xi*v) up to xi_abs_max.
+
+    The rule is stored on the (frozen) profile itself, together with the
+    largest |xi| it resolves, so it lives and dies with the samples it was
+    built from.
+    """
+    cached = prof.__dict__.get("_quad_rule")
     if cached is not None and cached[0] >= xi_abs_max:
         return cached[1], cached[2]
     v = prof.v_samples
@@ -122,7 +123,7 @@ def _tabulated_rule(prof: HomogeneousProfile, xi_abs_max: float):
     weights = (half[:, None] * _GL_WEIGHTS).ravel()
     spline = CubicSpline(v, prof.eta_samples)
     fw = weights * spline(nodes)
-    _QUAD_CACHE[key] = (max(xi_abs_max, 1.0), nodes, fw)
+    object.__setattr__(prof, "_quad_rule", (max(xi_abs_max, 1.0), nodes, fw))
     return nodes, fw
 
 

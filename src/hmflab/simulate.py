@@ -9,8 +9,9 @@ In the filtered ("gliding") frame the transform ghat_n(t, xi) obeys
 
 where z_k(t) = ghat_k(t, k t) are the self-consistent field modes and the sum
 runs over the active interaction modes.  Free transport is filtered exactly,
-so the only motion in xi is through shifted reads, handled by cubic
-interpolation with zero extension.  Time stepping is classical 4-stage
+so the only motion in xi is through shifted reads xi - k t: one fractional
+offset per mode k, applied to every row as a four-tap cubic Lagrange stencil
+with zero extension (``grids.shift_rows``).  Time stepping is classical 4-stage
 Runge-Kutta; the field modes are re-extracted from the stage states at stage
 times, which is what keeps the scheme at order 4 (extracting them once per
 step would drop it to order 1).
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import PhaseGrid, SpectralField, cubic_interp, norm_ladder, symmetrized_values
+from .grids import PhaseGrid, SpectralField, interp_point, norm_ladder, shift_rows, symmetrized_values
 from .penrose import InteractionKernel, PenroseReport, penrose_check
 from .profiles import HomogeneousProfile, Perturbation, profile_hat, synth_initial
 from .volterra import ModeSeries
@@ -153,7 +154,7 @@ def extract_field_modes(state: SpectralField | np.ndarray, t: float, kernel: Int
             raise RuntimeError(
                 f"field-mode read xi = {target:.6g} for mode {k} leaves the safe window "
                 f"|xi| <= xi_max - 2*dxi = {grid.xi_max - 2 * grid.dxi:.6g}; enlarge xi_max")
-        out[k] = complex(cubic_interp(values[grid.row(k)], grid, float(target)))
+        out[k] = interp_point(values[grid.row(k)], grid, target)
     return out
 
 
@@ -162,28 +163,18 @@ def _rhs(values: np.ndarray, t: float, cfg: SimConfig) -> np.ndarray:
     kernel = cfg.kernel
     modes = extract_field_modes(values, t, kernel, grid)
     xi = grid.xi
+    n_max = grid.n_max
     out = np.zeros_like(values)
-    active = list(modes)
-    for n in range(-grid.n_max, grid.n_max + 1):
+    if cfg.epsilon != 0.0:
+        # mode k moves source row m = n - k to row n: one shifted block per k
+        for k, zk in modes.items():
+            lo, hi = max(-n_max, k - n_max), min(n_max, k + n_max)
+            shifted = shift_rows(values[grid.row(lo - k):grid.row(hi - k) + 1], grid, k * t)
+            out[grid.row(lo):grid.row(hi) + 1] += (-k * kernel.coefficient(k) * zk) * shifted
+        out *= cfg.epsilon * (xi - grid.modes[:, None] * t)
+    for n, zn in modes.items():
         base = xi - n * t
-        pn = kernel.coefficient(n)
-        acc = None
-        if pn != 0.0:
-            acc = (-n * pn * modes[n]) * base * profile_hat(cfg.profile, base)
-        if cfg.epsilon != 0.0:
-            nl = None
-            for k in active:
-                m = n - k
-                if abs(m) > grid.n_max:
-                    continue
-                shifted = cubic_interp(values[grid.row(m)], grid, xi - k * t)
-                term = (-k * kernel.coefficient(k) * modes[k]) * shifted
-                nl = term if nl is None else nl + term
-            if nl is not None:
-                nl = cfg.epsilon * base * nl
-                acc = nl if acc is None else acc + nl
-        if acc is not None:
-            out[grid.row(n)] = acc
+        out[grid.row(n)] += (-n * kernel.coefficient(n) * zn) * base * profile_hat(cfg.profile, base)
     return out
 
 

@@ -1,6 +1,10 @@
 """Config parsing, subcommands, exit codes, artifact formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +171,18 @@ class TestDeterminism:
         monkeypatch.setenv("HMF_THREADS", "4")
         assert main(["run-sim", cfg_path, "--out", str(out2)]) == EXIT_OK
         assert (out1 / "timeseries.csv").read_bytes() == (out2 / "timeseries.csv").read_bytes()
+
+    def test_blas_thread_count_does_not_change_csvs(self, tmp_path):
+        cfg_path = write_config(tmp_path, TINY)
+        src = str(Path(H.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            out = tmp_path / f"blas{threads}"
+            proc = subprocess.run([sys.executable, "-m", "hmflab.cli", "run-sim", cfg_path, "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outs.append(out)
+        for name in ("timeseries.csv", "final_state.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -1,5 +1,7 @@
 """Homogeneous profiles, their velocity transforms, and initial perturbations."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,19 @@ class TestProfileHat:
         zm = H.profile_hat(prof, -2.3)
         assert zm == pytest.approx(np.conj(z), rel=1e-12)
 
+
+    def test_quadrature_rule_not_inherited_from_freed_profile(self):
+        # a table built after another was freed may get the freed one's id();
+        # its transform must come from its own samples
+        v = np.arange(-16.0, 16.0 + 1e-12, 0.02)
+        for _ in range(10):
+            first = H.tabulated(v, np.exp(-v * v / 2) / np.sqrt(2 * np.pi))
+            assert H.profile_hat(first, 1.0) == pytest.approx(np.exp(-0.5), abs=1e-8)
+            del first
+            gc.collect()
+            second = H.tabulated(v, np.exp(-v * v / 8) / np.sqrt(8 * np.pi))
+            assert second.mass == pytest.approx(1.0, abs=1e-8)
+            assert H.profile_hat(second, 1.0) == pytest.approx(np.exp(-2.0), abs=1e-8)
 
 class TestProfileCsv:
     def test_roundtrip(self, tmp_path):

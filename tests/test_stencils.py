@@ -1,0 +1,209 @@
+"""
+Hot-path stencils cross-checked against per-node loop references.
+
+``slow_norm_ladder`` applies the weight stencil to every xi^q ghat, one
+order q at a time; ``slow_rhs`` interpolates each (n, k) pair of rows with
+``cubic_interp``.  ``grids.norm_ladder``, ``grids.shift_rows``,
+``grids.interp_point`` and the right-hand side must agree with them.
+"""
+
+import numpy as np
+import pytest
+from conftest import random_band_limited
+
+import hmflab as H
+
+
+def slow_second_derivative(u, dxi):
+    pad = np.zeros(u.shape[:-1] + (u.shape[-1] + 4,), dtype=u.dtype)
+    pad[..., 2:-2] = u
+    return (-pad[..., :-4] + 16.0 * pad[..., 1:-3] - 30.0 * pad[..., 2:-2]
+            + 16.0 * pad[..., 3:-1] - pad[..., 4:]) / (12.0 * dxi * dxi)
+
+
+def slow_velocity_weight(u, grid):
+    w = u
+    for _ in range(grid.m0):
+        w = w - slow_second_derivative(w, grid.dxi)
+    return w
+
+
+def slow_norm_ladder(field, max_order):
+    grid = field.grid
+    tw = grid.trapz_weights()
+    W = np.empty((max_order + 1, grid.shape[0]))
+    u = field.values
+    for q in range(max_order + 1):
+        if q:
+            u = u * grid.xi
+        a = slow_velocity_weight(u, grid)
+        W[q] = np.add.reduce((np.conj(u) * a).real * tw, axis=1)
+
+    k2 = grid.modes.astype(float) ** 2
+    norms2 = np.empty(max_order + 1)
+    for n in range(max_order + 1):
+        total = 0.0
+        for q in range(n + 1):
+            kfac = np.ones_like(k2)
+            acc = np.ones_like(k2)
+            for _ in range(n - q):
+                acc = acc * k2
+                kfac = kfac + acc
+            total += float(np.add.reduce(kfac * W[q]))
+        norms2[n] = max(total, 0.0)
+    return np.sqrt(norms2)
+
+
+def slow_rhs(values, t, cfg):
+    grid = cfg.grid
+    kernel = cfg.kernel
+    modes = H.extract_field_modes(values, t, kernel, grid)
+    xi = grid.xi
+    out = np.zeros_like(values)
+    active = list(modes)
+    for n in range(-grid.n_max, grid.n_max + 1):
+        base = xi - n * t
+        pn = kernel.coefficient(n)
+        acc = None
+        if pn != 0.0:
+            acc = (-n * pn * modes[n]) * base * H.profile_hat(cfg.profile, base)
+        if cfg.epsilon != 0.0:
+            nl = None
+            for k in active:
+                m = n - k
+                if abs(m) > grid.n_max:
+                    continue
+                shifted = H.cubic_interp(values[grid.row(m)], grid, xi - k * t)
+                term = (-k * kernel.coefficient(k) * modes[k]) * shifted
+                nl = term if nl is None else nl + term
+            if nl is not None:
+                nl = cfg.epsilon * base * nl
+                acc = nl if acc is None else acc + nl
+        if acc is not None:
+            out[grid.row(n)] = acc
+    return out
+
+
+def noise_field(rng, grid):
+    return H.SpectralField(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+
+
+# dxi = 0.04 as in the presets; the window holds the smooth test fields
+# (bumps centred in [-5, 5]) down to ~1e-13 at its edges
+LADDER_GRIDS = {m0: H.make_grid(2, 20.48, 1025, m0) for m0 in (1, 2, 3)}
+
+
+class TestNormLadder:
+    @pytest.mark.parametrize("m0", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["smooth", "noise"])
+    def test_matches_loop_reference(self, m0, kind):
+        grid = LADDER_GRIDS[m0]
+        rng = np.random.default_rng(100 + m0)
+        for _ in range(3):
+            f = random_band_limited(rng, grid) if kind == "smooth" else noise_field(rng, grid)
+            got = H.norm_ladder(f, 7)
+            ref = slow_norm_ladder(f, 7)
+            assert np.all(ref > 0)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("m0", [1, 2, 3])
+    def test_entry_independent_of_max_order(self, m0):
+        grid = LADDER_GRIDS[m0]
+        f = random_band_limited(np.random.default_rng(7), grid)
+        full = H.norm_ladder(f, 7)
+        for n in range(8):
+            assert np.array_equal(H.norm_ladder(f, n), full[: n + 1]), f"max_order {n}"
+
+    def test_plan_keyed_by_grid_content(self):
+        # equal grids built separately share the cached tables; a grid that
+        # differs only in m0 gets its own
+        a = H.make_grid(2, 20.48, 513, 1)
+        b = H.make_grid(2, 20.48, 513, 1)
+        f = random_band_limited(np.random.default_rng(3), a)
+        assert a is not b
+        assert np.array_equal(H.norm_ladder(f, 5), H.norm_ladder(H.SpectralField(b, f.values), 5))
+        other = H.SpectralField(H.make_grid(2, 20.48, 513, 2), f.values)
+        ref = slow_norm_ladder(other, 5)
+        assert np.max(np.abs(H.norm_ladder(other, 5) - ref) / ref) <= 1e-13
+
+
+# dxi = 0.125 is exact in binary, dxi = 0.06 is not
+SHIFT_GRIDS = [H.make_grid(2, 8.0, 129, 1), H.make_grid(2, 6.3, 211, 1)]
+
+
+def shift_cases(grid):
+    cells = [0, 1, -1, 3, -7, 40, -64, grid.n_xi - 3, grid.n_xi - 1, grid.n_xi, -grid.n_xi - 2]
+    out = []
+    for c in cells:
+        s = c * grid.dxi
+        out += [s, np.nextafter(s, np.inf), np.nextafter(s, -np.inf)]
+    out += [0.37 * grid.dxi, -2.61 * grid.dxi, grid.xi_max - 0.5 * grid.dxi,
+            2 * grid.xi_max + 0.3, -3 * grid.xi_max]
+    return out
+
+
+class TestShiftRows:
+    @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=["dxi0.125", "dxi0.06"])
+    def test_matches_cubic_interp(self, grid):
+        vals = random_band_limited(np.random.default_rng(11), grid).values
+        scale = np.max(np.abs(vals))
+        for shift in shift_cases(grid):
+            got = H.shift_rows(vals, grid, shift)
+            outside = np.abs(grid.xi - shift) > grid.xi_max
+            for i, row in enumerate(vals):
+                ref = H.cubic_interp(row, grid, grid.xi - shift)
+                assert np.max(np.abs(got[i] - ref)) <= 1e-13 * scale, f"shift {shift!r}"
+                assert np.all(ref[outside] == 0)
+            assert np.all(got[:, outside] == 0), f"shift {shift!r}"
+
+    def test_whole_cell_shift_is_a_copy(self):
+        grid = SHIFT_GRIDS[0]
+        vals = noise_field(np.random.default_rng(2), grid).values
+        got = H.shift_rows(vals, grid, 5 * grid.dxi)
+        assert np.array_equal(got[:, 5:], vals[:, :-5])
+        assert np.all(got[:, :5] == 0)
+
+
+class TestInterpPoint:
+    def test_bitwise_equal_to_array_path(self):
+        grid = SHIFT_GRIDS[1]
+        row = noise_field(np.random.default_rng(4), grid).values[0]
+        rng = np.random.default_rng(5)
+        targets = list(grid.xi[[0, 1, 57, 105, -2, -1]])                        # on node
+        targets += list(rng.uniform(-grid.xi_max, grid.xi_max, 40))             # off node
+        targets += [np.nextafter(grid.xi_max, 0), -np.nextafter(grid.xi_max, 0),
+                    grid.xi_max - 0.3 * grid.dxi, -grid.xi_max + 0.7 * grid.dxi]  # edge cells
+        targets += [np.nextafter(grid.xi_max, np.inf), -grid.xi_max - grid.dxi, 50.0]  # outside
+        for x in targets:
+            fast = H.interp_point(row, grid, x)
+            assert fast == complex(H.cubic_interp(row, grid, float(x))), repr(x)
+            assert fast == complex(H.cubic_interp(row, grid, np.array([x]))[0]), repr(x)
+
+
+def rhs_config(coefficients, n_max, xi_max, n_xi, epsilon):
+    grid = H.make_grid(n_max, xi_max, n_xi, 1)
+    return H.SimConfig(grid=grid, kernel=H.InteractionKernel(coefficients), profile=H.maxwellian(1.0),
+                       perturbations=(H.Perturbation(mode=1, amplitude=0.1),), epsilon=epsilon,
+                       dt=0.05, t_final=1.0, check_stability=False)
+
+
+class TestRhs:
+    @pytest.mark.parametrize("coefficients,n_max", [((0.5,), 3), ((0.5, 0.25), 4)],
+                             ids=["cosine", "M2"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_matches_per_pair_reference(self, coefficients, n_max, epsilon):
+        cfg = rhs_config(coefficients, n_max, 24.0, 481, epsilon)
+        rng = np.random.default_rng(20 + n_max)
+        state = random_band_limited(rng, cfg.grid)
+        for t in (0.0, 0.05, 0.37, 1.0, 2.5, 5.0):
+            ref = slow_rhs(state.values, t, cfg)
+            got = H.assemble_rhs(state, t, cfg).values
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), f"t={t}"
+
+    def test_field_modes_unchanged(self):
+        cfg = rhs_config((0.5, 0.25), 4, 24.0, 481, 0.05)
+        vals = random_band_limited(np.random.default_rng(8), cfg.grid).values
+        for t in (0.0, 0.3, 1.7, 4.1):
+            modes = H.extract_field_modes(vals, t, cfg.kernel, cfg.grid)
+            for k, zk in modes.items():
+                assert zk == complex(H.cubic_interp(vals[cfg.grid.row(k)], cfg.grid, float(k * t)))
