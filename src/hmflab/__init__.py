@@ -54,6 +54,7 @@ from .volterra import (
 )
 from .simulate import (
     InvariantViolation,
+    NonFiniteState,
     SimConfig,
     Trajectory,
     assemble_rhs,

@@ -5,7 +5,8 @@ Exit-code contract (stable, for CI consumption):
     0  success / all assertions passed
     1  a preset assertion failed
     2  usage error (bad JSON, unknown key, unknown preset)
-    3  configuration invariant violation (message includes the corrected bound)
+    3  configuration invariant violation (message includes the corrected bound),
+       a Penrose scan that cannot certify its winding, or a non-finite state
 
 All artifacts are CSV (series) or JSON (reports) with 17-significant-digit
 floats, so identical configs reproduce byte-identical outputs, also under
@@ -26,9 +27,10 @@ import numpy as np
 
 from .diagnostics import decay_fit, q_monitor, scattering_limit, weak_limit_profile, weighted_mode_series
 from .grids import SpectralField, make_grid, sobolev_norm, write_field_csv, write_series_csv
-from .penrose import InteractionKernel, ScanParameters, critical_parameter, growth_rate, penrose_check
+from .penrose import (InteractionKernel, ScanParameters, ScanRefinementError, critical_parameter, growth_rate,
+                      penrose_check)
 from .profiles import HomogeneousProfile, Perturbation, load_profile_csv, maxwellian, save_profile_csv, two_stream
-from .simulate import InvariantViolation, SimConfig, run
+from .simulate import InvariantViolation, NonFiniteState, SimConfig, run
 from .volterra import lemvolterra_harness, solve_volterra
 
 __all__ = ["ConfigError", "parse_config", "run_preset", "PRESET_NAMES", "main"]
@@ -549,6 +551,12 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
     except ValueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except ScanRefinementError as exc:
+        print(f"penrose scan failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except NonFiniteState as exc:
+        print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_USAGE
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from math import comb
 
@@ -297,9 +298,13 @@ def _ladder_plan(grid: PhaseGrid, max_order: int):
     return ident, bands, kfac
 
 
-def norm_ladder(field: SpectralField, max_order: int) -> np.ndarray:
+def norm_ladder(field: SpectralField, max_order: int, *, work: np.ndarray | None = None) -> np.ndarray:
     """
     All weighted Sobolev norms of order 0..max_order in one sweep.
+
+    ``work``, when given, is a float array of shape ``(4,) + grid.shape``
+    that the call uses as scratch for its grid-size intermediates instead of
+    allocating them; a caller that takes the ladder at every step keeps one.
 
     Returns
     -------
@@ -321,18 +326,22 @@ def norm_ladder(field: SpectralField, max_order: int) -> np.ndarray:
     ident, bands, kfac = _ladder_plan(grid, max_order)
     u = field.values
     n = grid.n_xi
+    if work is None:
+        work = np.empty((4,) + u.shape)
+    elif work.shape != (4,) + u.shape or work.dtype != np.float64 or not work.flags.c_contiguous:
+        raise ValueError(f"work must be a C-contiguous float64 array of shape {(4,) + u.shape}")
     # products over the rows laid end to end, one pass per d; the d entries
     # that pair a row's end with the next row are zeroed
     flat = u.reshape(-1)
     re, im = flat.real, flat.imag
     size = flat.size
-    prods = np.empty((3, size))
-    tmp = np.empty(size)
+    prods = work[:3].reshape(3, size)
+    tmp = work[3].reshape(size)
     for d in range(3):
         m = size - d
         np.multiply(re[:m], re[d:], out=prods[d, :m])
         prods[d, :m] += np.multiply(im[:m], im[d:], out=tmp[:m])
-    prods = prods.reshape((3,) + u.shape)
+    prods = work[:3]
     prods[1, :, n - 1:] = 0.0
     prods[2, :, n - 2:] = 0.0
 
@@ -342,7 +351,7 @@ def norm_ladder(field: SpectralField, max_order: int) -> np.ndarray:
     W = scale[0] * np.einsum("kj,qj->qk", prods[0], ident)
     for q in range(max_order + 1):
         # the three stencil terms meet at each j before the sum over j
-        W[q] += scale[1] * np.add.reduce(np.einsum("dkj,dj->kj", prods, bands[q]), axis=1)
+        W[q] += scale[1] * np.add.reduce(np.einsum("dkj,dj->kj", prods, bands[q], out=work[3]), axis=1)
     if grid.m0 > 1:
         end_column = np.array([30.0, -16.0, 1.0])     # S e_0 near the first node
         a = u
@@ -363,7 +372,14 @@ def norm_ladder(field: SpectralField, max_order: int) -> np.ndarray:
     norms2 = np.empty(max_order + 1)
     for order in range(max_order + 1):
         # sum over q <= order of kfac[order - q] . W[q]
-        norms2[order] = max(float(np.add.reduce((kfac[order::-1] * W[: order + 1]).ravel())), 0.0)
+        total = float(np.add.reduce((kfac[order::-1] * W[: order + 1]).ravel()))
+        if total < 0.0:
+            # the half trapezoid weights at the window edge make the discrete
+            # form indefinite for fields that do not vanish there
+            warnings.warn(f"norm_ladder: squared order-{order} norm is negative ({total:.6e}), "
+                          f"read as 0; the field does not vanish at the window edge",
+                          RuntimeWarning, stacklevel=2)
+        norms2[order] = max(total, 0.0)
     return np.sqrt(norms2)
 
 
@@ -425,9 +441,12 @@ def reality_defect(field: SpectralField) -> float:
     return float(np.max(np.abs(v[::-1, ::-1] - np.conj(v))))
 
 
-def symmetrized_values(values: np.ndarray) -> np.ndarray:
-    """Average paired entries so the reality symmetry holds exactly."""
-    return 0.5 * (values + np.conj(values[::-1, ::-1]))
+def symmetrized_values(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Average paired entries so the reality symmetry holds exactly; the
+    result goes to ``out`` when given (a buffer that does not alias ``values``)."""
+    out = np.conjugate(values[::-1, ::-1], out=out)
+    np.add(values, out, out=out)
+    return np.multiply(0.5, out, out=out)
 
 
 def write_field_csv(field: SpectralField, path) -> None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sp_fft
 
 from .profiles import HomogeneousProfile, profile_hat
 
@@ -34,6 +35,7 @@ __all__ = [
     "ScanParameters",
     "ModeStability",
     "PenroseReport",
+    "ScanRefinementError",
     "memory_kernel",
     "memory_kernel_transform",
     "penrose_check",
@@ -43,6 +45,10 @@ __all__ = [
 
 _KERNEL_TINY = 1e-16  # quadrature truncation threshold on |K|
 _T_CUT_CAP = 400.0
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# |1 - Khat| below which the uniform scan takes the dense sum: the chirp-z
+# roundoff (<= ~1e-12) would turn the direction there by up to 1e-4 rad
+_NEAR_ORIGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -116,19 +122,69 @@ def _kernel_cutoff(ik: InteractionKernel, prof: HomogeneousProfile, n: int) -> f
     return float(min(t[above[-1]] + 2.0, _T_CUT_CAP))
 
 
-def _transform_rule(ik, prof, n, tau_abs_max: float):
-    """Composite 16-point Gauss-Legendre rule resolving exp(-i tau t) phases."""
+def _panel_rule(ik, prof, n, tau_abs_max: float):
+    """
+    Composite 16-point Gauss-Legendre rule resolving exp(-i tau t) phases.
+
+    Returns ``nodes`` and ``fw`` (weights times K(n, nodes)) as
+    (n_panels, 16) arrays, panel by Gauss offset, and the cutoff ``t_cut``.
+    The panels are uniform of width t_cut / n_panels, so the nodes are the
+    panel midpoints plus 16 fixed offsets (see :func:`_transform_uniform_scan`).
+    """
     t_cut = _kernel_cutoff(ik, prof, n)
     h = min(0.25, 8.0 / max(tau_abs_max, 1.0))
     n_panels = max(4, int(np.ceil(t_cut / h)))
     edges = np.linspace(0.0, t_cut, n_panels + 1)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * gl_x).ravel()
-    weights = (half[:, None] * gl_w).ravel()
-    fw = weights * memory_kernel(ik, prof, n, nodes)
+    nodes = mid[:, None] + half[:, None] * _GL_X
+    fw = (half[:, None] * _GL_W) * memory_kernel(ik, prof, n, nodes.ravel()).reshape(nodes.shape)
     return nodes, fw, t_cut
+
+
+def _transform_uniform_scan(ik, prof, n, taus: np.ndarray):
+    """
+    Khat(n, taus) on a uniform real scan (as from ``np.linspace``) by chirp-z
+    transforms, and the rule's cutoff ``t_cut``.
+
+    Count the rule's panels p and the scan points j from their centres pc and
+    jc: the nodes are t_c + p hp + (hp/2) x_g and tau_j = tau_c + j dtau, so
+    with a = hp dtau
+
+        Khat(tau_j) = sum_g exp(-i tau_j (t_c + (hp/2) x_g)) A_g[j],
+        A_g[j] = sum_p fw[p, g] exp(-i tau_c hp p) exp(-i a j p),
+
+    one chirp-z transform over the panels per Gauss offset; Bluestein's
+    j p = (j^2 + p^2 - (j - p)^2) / 2 makes it one FFT convolution.  This is
+    O((n_panels + n_tau) log) work in place of n_tau * 16 n_panels complex
+    exponentials.  Centring the indices keeps the chirp phases, and with
+    them the roundoff, four times smaller.
+
+    Where 1 - Khat comes within ``_NEAR_ORIGIN`` of the origin, the winding
+    hinges on the last digits (at a critical parameter the curve passes
+    through it), so those points take the dense sum on the same rule and
+    carry exactly the dense path's values.
+    """
+    nodes, fw, t_cut = _panel_rule(ik, prof, n, float(np.max(np.abs(taus))))
+    n_panels, n_tau = fw.shape[0], taus.size
+    hp = t_cut / n_panels
+    a = hp * (taus[-1] - taus[0]) / max(n_tau - 1, 1)
+    jc, pc = (n_tau - 1) // 2, (n_panels - 1) // 2
+    j = np.arange(n_tau) - jc
+    p = np.arange(n_panels) - pc
+    lags = np.arange(1 - n_panels, n_tau) - (jc - pc)      # every j - p
+    size = sp_fft.next_fast_len(n_panels + n_tau - 1)
+    chirp = np.zeros(size, dtype=np.complex128)
+    chirp[:n_tau] = np.exp(0.5j * a * lags[n_panels - 1:] ** 2)
+    chirp[size - n_panels + 1:] = np.exp(0.5j * a * lags[:n_panels - 1] ** 2)
+    x = fw.T * np.exp(-1j * (taus[jc] * hp * p + 0.5 * a * p * p))
+    conv = sp_fft.ifft(sp_fft.fft(x, size, axis=-1) * sp_fft.fft(chirp), axis=-1)[:, :n_tau]
+    outer = np.exp(-1j * np.multiply.outer(taus, (pc + 0.5) * hp + (0.5 * hp) * _GL_X))
+    khat = np.add.reduce(outer * (conv * np.exp(-0.5j * a * j * j)).T, axis=1)
+    near = np.nonzero(np.abs(1.0 - khat) < _NEAR_ORIGIN)[0]
+    if near.size:
+        khat[near] = np.add.reduce(fw.ravel() * np.exp(-1j * taus[near, None] * nodes.ravel()), axis=1)
+    return khat, t_cut
 
 
 def memory_kernel_transform(ik: InteractionKernel, prof: HomogeneousProfile, n: int, tau):
@@ -147,7 +203,8 @@ def memory_kernel_transform(ik: InteractionKernel, prof: HomogeneousProfile, n: 
     if ik.coefficient(n) == 0.0:
         out = np.zeros_like(tt)
         return out[0] if scalar else out
-    nodes, fw, _ = _transform_rule(ik, prof, n, float(np.max(np.abs(tt.real))) if tt.size else 1.0)
+    nodes, fw, _ = _panel_rule(ik, prof, n, float(np.max(np.abs(tt.real))) if tt.size else 1.0)
+    nodes, fw = nodes.ravel(), fw.ravel()
     out = np.empty(tt.shape, dtype=np.complex128)
     # chunked ufunc reduction keeps memory bounded and summation deterministic
     chunk = max(1, int(4e6 // max(nodes.size, 1)))
@@ -250,7 +307,8 @@ def _scan_mode(ik, prof, n, kappa_target, scan: ScanParameters) -> ModeStability
                 f"mode {n}: tau_max={tau_max} too small, |Khat(tau_max)|={edge:.3e} >= {tail_threshold:.1e}")
 
     taus = np.linspace(-tau_max, tau_max, scan.n_tau)
-    z = 1.0 - memory_kernel_transform(ik, prof, n, taus)
+    khat, t_cut = _transform_uniform_scan(ik, prof, n, taus)
+    z = 1.0 - khat
 
     # refine until every adjacent pair subtends at most pi/2 about the origin
     for _ in range(scan.max_refinements):
@@ -275,7 +333,6 @@ def _scan_mode(ik, prof, n, kappa_target, scan: ScanParameters) -> ModeStability
     min_abs = float(np.min(np.abs(z)))
     khat_abs = np.abs(1.0 - z)
     decay_constant = float(np.max(khat_abs * (1.0 + taus * taus)))
-    _, _, t_cut = _transform_rule(ik, prof, n, float(tau_max))
     tail_bound = _KERNEL_TINY * t_cut
 
     kappa_est = min_abs if winding == 0 else 0.0

@@ -33,6 +33,7 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "InvariantViolation",
+    "NonFiniteState",
     "extract_field_modes",
     "assemble_rhs",
     "step",
@@ -43,6 +44,10 @@ __all__ = [
 
 class InvariantViolation(ValueError):
     """A configuration breaks a hard invariant of the discretization."""
+
+
+class NonFiniteState(RuntimeError):
+    """The integrated state stopped being finite (blow-up or configuration bug)."""
 
 
 @dataclass(frozen=True)
@@ -158,13 +163,18 @@ def extract_field_modes(state: SpectralField | np.ndarray, t: float, kernel: Int
     return out
 
 
-def _rhs(values: np.ndarray, t: float, cfg: SimConfig) -> np.ndarray:
+def _rhs(values: np.ndarray, t: float, cfg: SimConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """The module equation's right-hand side, written into ``out`` when given
+    (a complex buffer of the grid's shape that does not alias ``values``)."""
     grid = cfg.grid
     kernel = cfg.kernel
     modes = extract_field_modes(values, t, kernel, grid)
     xi = grid.xi
     n_max = grid.n_max
-    out = np.zeros_like(values)
+    if out is None:
+        out = np.zeros_like(values)
+    else:
+        out.fill(0.0)
     if cfg.epsilon != 0.0:
         # mode k moves source row m = n - k to row n: one shifted block per k
         for k, zk in modes.items():
@@ -183,16 +193,30 @@ def assemble_rhs(state: SpectralField, t: float, cfg: SimConfig) -> SpectralFiel
     return SpectralField(cfg.grid, _rhs(state.values, t, cfg), state.real_valued)
 
 
-def _step_values(values: np.ndarray, t: float, cfg: SimConfig, enforce_reality: bool) -> np.ndarray:
+def _step_values(values: np.ndarray, t: float, cfg: SimConfig, buf: np.ndarray) -> np.ndarray:
+    """
+    One RK4 step from ``values`` at t, returned in ``buf[0]``.
+
+    ``buf`` is complex scratch of shape ``(3,) + grid.shape`` (accumulator,
+    stage derivative, stage state), so the step allocates nothing of the
+    grid's size.  The operations are those of values + (dt/6)(k1 + 2 k2 +
+    2 k3 + k4) with k2 = rhs(values + (dt/2) k1, t + dt/2) and so on, in the
+    same order, so the result is bitwise that of the plain expression.
+    """
     dt = cfg.dt
-    k1 = _rhs(values, t, cfg)
-    k2 = _rhs(values + (0.5 * dt) * k1, t + 0.5 * dt, cfg)
-    k3 = _rhs(values + (0.5 * dt) * k2, t + 0.5 * dt, cfg)
-    k4 = _rhs(values + dt * k3, t + dt, cfg)
-    out = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if enforce_reality:
-        out = symmetrized_values(out)
-    return out
+    acc, k, stage = buf
+    k1 = _rhs(values, t, cfg, out=acc)
+    np.add(values, np.multiply(0.5 * dt, k1, out=stage), out=stage)
+    k2 = _rhs(stage, t + 0.5 * dt, cfg, out=k)
+    np.add(values, np.multiply(0.5 * dt, k2, out=stage), out=stage)
+    np.add(k1, np.multiply(2.0, k2, out=k2), out=acc)
+    k3 = _rhs(stage, t + 0.5 * dt, cfg, out=k)
+    np.add(values, np.multiply(dt, k3, out=stage), out=stage)
+    np.add(acc, np.multiply(2.0, k3, out=k3), out=acc)
+    k4 = _rhs(stage, t + dt, cfg, out=k)
+    np.add(acc, k4, out=acc)
+    np.multiply(dt / 6.0, acc, out=acc)
+    return np.add(values, acc, out=acc)
 
 
 def step(state: SpectralField, t: float, cfg: SimConfig) -> SpectralField:
@@ -201,10 +225,12 @@ def step(state: SpectralField, t: float, cfg: SimConfig) -> SpectralField:
     averaging paired entries for real-valued states.  Aborts on non-finite
     values (blow-up or configuration bug).
     """
-    out = _step_values(state.values, t, cfg, state.real_valued)
+    out = _step_values(state.values, t, cfg, np.empty((3,) + cfg.grid.shape, dtype=np.complex128))
+    if state.real_valued:
+        out = symmetrized_values(out)
     if not np.all(np.isfinite(out)):
-        raise RuntimeError(f"non-finite state after step at t={t:.6g} (max |g| before: "
-                           f"{float(np.max(np.abs(state.values))):.3e})")
+        raise NonFiniteState(f"non-finite state after step at t={t:.6g} (max |g| before: "
+                             f"{float(np.max(np.abs(state.values))):.3e})")
     return SpectralField(cfg.grid, out, state.real_valued)
 
 
@@ -218,19 +244,30 @@ class _Monitors:
         self.eta_hat_grid = np.asarray(profile_hat(cfg.profile, grid.xi), dtype=np.complex128)
         self.zero_col = (grid.n_xi - 1) // 2
         self.row0 = grid.row(0)
+        eta = self.eta_hat_grid
+        self.background_l2 = float(np.sqrt(np.add.reduce((eta.real ** 2 + eta.imag ** 2) * self.tw)))
+        self.work = np.empty((4,) + grid.shape)      # scratch of full_l2 and norm_ladder
 
     def full_l2(self, values: np.ndarray) -> float:
-        f = self.cfg.epsilon * values
-        f0 = f[self.row0] + self.eta_hat_grid
-        total = float(np.add.reduce(np.add.reduce(np.abs(f) ** 2 * self.tw, axis=1)))
-        total += float(np.add.reduce((np.abs(f0) ** 2 - np.abs(f[self.row0]) ** 2) * self.tw))
-        return float(np.sqrt(max(total, 0.0)))
+        """||eta + eps*g||_{L2}: the rows n != 0 carry eps*g alone."""
+        eps = self.cfg.epsilon
+        if eps == 0.0:
+            return self.background_l2
+        sq = np.multiply(values.real, values.real, out=self.work[0])
+        sq += np.multiply(values.imag, values.imag, out=self.work[1])
+        sq *= self.tw
+        rows = np.add.reduce(sq, axis=1)
+        rows[self.row0] = 0.0
+        f0 = eps * values[self.row0] + self.eta_hat_grid
+        total = eps * eps * float(np.add.reduce(rows))
+        total += float(np.add.reduce((f0.real ** 2 + f0.imag ** 2) * self.tw))
+        return float(np.sqrt(total))
 
     def sample(self, values: np.ndarray) -> tuple:
         mass = complex(values[self.row0, self.zero_col])
         l2 = self.full_l2(values)
         wrapped = SpectralField(self.cfg.grid, values, real_valued=False)
-        ladder = norm_ladder(wrapped, self.cfg.s)
+        ladder = norm_ladder(wrapped, self.cfg.s, work=self.work)
         return mass, l2, ladder
 
 
@@ -278,14 +315,20 @@ def run(cfg: SimConfig) -> Trajectory:
             snapshots.append(SpectralField(grid, values, real_valued=True))
             snapshot_times.append(t)
 
+    # the step and the drift check write into these buffers and the state is
+    # overwritten in place: neither allocates anything of the grid's size
+    buf = np.empty((3,) + grid.shape, dtype=np.complex128)
+    finite = np.empty(grid.shape, dtype=bool)
+    defect = np.empty(grid.shape)
     record(0, 0.0, state, 0.0)
     for i in range(1, n_steps + 1):
-        raw = _step_values(state, times[i - 1], cfg, enforce_reality=False)
-        if not np.all(np.isfinite(raw)):
-            raise RuntimeError(f"non-finite state at t={times[i]:.6g} (step {i}); aborting run")
+        raw = _step_values(state, times[i - 1], cfg, buf)
+        if not np.isfinite(raw, out=finite).all():
+            raise NonFiniteState(f"non-finite state at t={times[i]:.6g} (step {i}); aborting run")
         # per-step symmetry drift, measured before the averaging re-enforces it
-        drift = float(np.max(np.abs(raw[::-1, ::-1] - np.conj(raw))))
-        state = symmetrized_values(raw)
+        diff = np.subtract(raw[::-1, ::-1], np.conjugate(raw, out=buf[2]), out=buf[2])
+        drift = float(np.max(np.abs(diff, out=defect)))
+        symmetrized_values(raw, out=state)
         record(i, times[i], state, drift)
 
     return Trajectory(

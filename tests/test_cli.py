@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hmflab as H
@@ -107,6 +108,23 @@ class TestSubcommands:
         mode = doc["modes"][0]
         for key in ("n", "winding", "min_abs", "kappa_est", "stable", "tau_scan"):
             assert key in mode
+
+    def test_penrose_scan_failure_exits_3_without_traceback(self, tmp_path):
+        doc = dict(TINY, penrose={"tau_max": 1.0})
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(H.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "hmflab.cli", "penrose-check", write_config(tmp_path, doc),
+                               "--out", str(tmp_path / "pen")], env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == EXIT_INVARIANT
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "tau_max=1.0 too small" in proc.stderr
+
+    def test_non_finite_state_exits_3(self, tmp_path, capsys):
+        doc = dict(TINY, epsilon=1.0)
+        doc["perturbation"] = {"mode": 1, "envelope": "gaussian", "amplitude": 1e300}
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run-sim", write_config(tmp_path, doc), "--out", str(tmp_path / "r")]) == EXIT_INVARIANT
+        assert "non-finite state" in capsys.readouterr().err
 
     def test_volterra_bench_csv(self, tmp_path):
         doc = dict(TINY)

@@ -5,9 +5,11 @@ import pytest
 from scipy.special import wofz
 
 import hmflab as H
+from hmflab import penrose
 
 COS = H.InteractionKernel.cosine()
 ANTI = H.InteractionKernel.anticosine()
+TWO = H.InteractionKernel((0.5, 0.25))
 
 
 def khat_closed_form(p1, T, tau):
@@ -157,3 +159,63 @@ class TestGrowthRate:
     def test_stable_state_rejected(self):
         with pytest.raises(ValueError, match="no root"):
             H.growth_rate(COS, H.maxwellian(1.0))
+
+
+def dense_uniform_scan(ik, prof, n, taus):
+    """The initial scan as the dense sum of memory_kernel_transform on the
+    same rule: the reference for the chirp-z scan path."""
+    _, _, t_cut = penrose._panel_rule(ik, prof, n, float(np.max(np.abs(taus))))
+    return H.memory_kernel_transform(ik, prof, n, taus), t_cut
+
+
+class TestUniformScanTransform:
+    @pytest.mark.parametrize("T", [0.1, 0.365, 1.51])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("tau_max, n_tau", [(16.0, 601), (16.0, 2001), (64.0, 601), (64.0, 2001)])
+    def test_matches_dense_sum_and_closed_form(self, T, n, tau_max, n_tau):
+        taus = np.linspace(-tau_max, tau_max, n_tau)
+        prof = H.maxwellian(T)
+        got, t_cut = penrose._transform_uniform_scan(TWO, prof, n, taus)
+        dense, dense_t_cut = dense_uniform_scan(TWO, prof, n, taus)
+        # K(n, t) = -n^2 p_n t exp(-n^2 T t^2 / 2)
+        exact = khat_closed_form(n * n * TWO.coefficient(n), n * n * T, taus)
+        assert t_cut == dense_t_cut
+        assert np.max(np.abs(got - dense)) < 1e-10
+        assert np.max(np.abs(got - exact)) < 1e-10
+
+    def test_two_stream(self):
+        # etahat = exp(-T xi^2 / 2) cos(v0 xi) shifts the maxwellian transform by +-v0
+        taus = np.linspace(-32.0, 32.0, 1201)
+        prof = H.two_stream(0.3, 1.7)
+        got, _ = penrose._transform_uniform_scan(COS, prof, 1, taus)
+        dense, _ = dense_uniform_scan(COS, prof, 1, taus)
+        exact = 0.5 * (khat_closed_form(0.5, 0.3, taus - 1.7) + khat_closed_form(0.5, 0.3, taus + 1.7))
+        assert np.max(np.abs(got - dense)) < 1e-10
+        assert np.max(np.abs(got - exact)) < 1e-10
+
+
+VERDICT_CASES = [(k, H.maxwellian(T)) for k in (COS, ANTI, TWO, H.InteractionKernel((-0.5, 0.3)))
+                 for T in (0.2, 0.365, 0.49, 0.5, 0.51, 1.51)]
+VERDICT_CASES += [(COS, H.two_stream(0.2, 1.5)), (ANTI, H.two_stream(0.5, 1.0))]
+
+
+class TestScanPathVerdicts:
+    def test_identical_to_dense_scan(self, monkeypatch):
+        fast = [H.penrose_check(k, p) for k, p in VERDICT_CASES]
+        monkeypatch.setattr(penrose, "_transform_uniform_scan", dense_uniform_scan)
+        slow = [H.penrose_check(k, p) for k, p in VERDICT_CASES]
+        assert any(not r.stable for r in fast) and any(r.stable for r in fast)
+        for a, b in zip(fast, slow):
+            assert a.stable == b.stable
+            for ma, mb in zip(a.modes, b.modes, strict=True):
+                assert (ma.winding, ma.stable) == (mb.winding, mb.stable)
+                assert ma.tail_bound == mb.tail_bound
+                assert abs(ma.min_real_axis - mb.min_real_axis) < 1e-11
+                assert ma.tau_scan.shape == mb.tau_scan.shape
+                assert np.max(np.abs(ma.tau_scan - mb.tau_scan)) < 1e-11
+
+    def test_critical_temperature_identical_to_dense_scan(self, monkeypatch):
+        family = lambda T: (ANTI, H.maxwellian(T))
+        fast = H.critical_parameter(family, 0.1, 1.0, tol=1e-3)
+        monkeypatch.setattr(penrose, "_transform_uniform_scan", dense_uniform_scan)
+        assert H.critical_parameter(family, 0.1, 1.0, tol=1e-3) == fast

@@ -194,6 +194,71 @@ class TestRun:
         assert np.max(np.abs(np.imag(got))) == 0.0  # real output for symmetric modes
 
 
+def reference_run(cfg):
+    """run()'s states, symmetry drifts and L2 norms as the plain-expression
+    RK4 loop gave them, one fresh array per operation."""
+    grid = cfg.grid
+    rhs = lambda v, t: H.assemble_rhs(H.SpectralField(grid, v, real_valued=False), t, cfg).values
+    times = np.arange(cfg.n_steps + 1) * cfg.dt
+    dt = cfg.dt
+    tw = grid.trapz_weights()
+    eta = H.profile_hat(cfg.profile, grid.xi)
+    row0 = grid.row(0)
+
+    def full_l2(values):
+        f = cfg.epsilon * values
+        f0 = f[row0] + eta
+        total = np.sum(np.abs(f) ** 2 * tw) + np.sum((np.abs(f0) ** 2 - np.abs(f[row0]) ** 2) * tw)
+        return np.sqrt(total)
+
+    state = H.synth_initial(cfg.perturbations, grid).values
+    states, drifts, l2 = [state], [0.0], [full_l2(state)]
+    for t in times[:-1]:
+        k1 = rhs(state, t)
+        k2 = rhs(state + (0.5 * dt) * k1, t + 0.5 * dt)
+        k3 = rhs(state + (0.5 * dt) * k2, t + 0.5 * dt)
+        k4 = rhs(state + dt * k3, t + dt)
+        raw = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        drifts.append(float(np.max(np.abs(raw[::-1, ::-1] - np.conj(raw)))))
+        state = 0.5 * (raw + np.conj(raw[::-1, ::-1]))
+        states.append(state)
+        l2.append(full_l2(state))
+    return states, np.array(drifts), np.array(l2)
+
+
+class TestRunBuffers:
+    @pytest.mark.parametrize("kernel", ["cosine", "two_mode"])
+    def test_bitwise_equal_to_plain_loop(self, kernel):
+        if kernel == "cosine":
+            cfg = small_config(epsilon=0.05, t_final=3.0, dt=0.05, record_every=1)
+        else:
+            grid = H.make_grid(3, 16.0, 321, 1)
+            cfg = H.SimConfig(grid=grid, kernel=H.InteractionKernel((0.5, 0.25)),
+                              profile=H.maxwellian(1.0),
+                              perturbations=(H.Perturbation(mode=1, amplitude=1.0),
+                                             H.Perturbation(mode=2, amplitude=0.5)),
+                              epsilon=0.05, dt=0.05, t_final=3.0, record_every=1, s=10,
+                              check_stability=False)
+        traj = H.run(cfg)
+        states, drifts, l2 = reference_run(cfg)
+        assert len(traj.snapshots) == len(states)
+        for i, (snap, ref) in enumerate(zip(traj.snapshots, states)):
+            assert np.array_equal(snap.values, ref), f"step {i}"
+            ladder = H.norm_ladder(H.SpectralField(cfg.grid, ref, real_valued=False), cfg.s)
+            assert np.array_equal(traj.norm_history[i], ladder), f"step {i}"
+        assert np.array_equal(traj.reality_series, drifts)
+        # |f|^2 as re^2 + im^2 and eps^2 factored out: L2 moves at roundoff only
+        assert np.max(np.abs(traj.l2_series - l2) / l2) <= 1e-14
+
+    def test_linear_run_l2_is_the_background_norm(self):
+        cfg = small_config(epsilon=0.0, t_final=1.0, dt=0.05)
+        traj = H.run(cfg)
+        tw = cfg.grid.trapz_weights()
+        background = np.sqrt(np.sum(np.abs(H.profile_hat(cfg.profile, cfg.grid.xi)) ** 2 * tw))
+        assert np.all(traj.l2_series == traj.l2_series[0])
+        assert traj.l2_series[0] == pytest.approx(background, rel=1e-14)
+
+
 class TestConfigValidation:
     def test_window_invariant_message_reports_minimum(self):
         grid = H.make_grid(1, 10.0, 201, 1)

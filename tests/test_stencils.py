@@ -7,6 +7,8 @@ order q at a time; ``slow_rhs`` interpolates each (n, k) pair of rows with
 ``grids.interp_point`` and the right-hand side must agree with them.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_band_limited
@@ -113,6 +115,30 @@ class TestNormLadder:
         full = H.norm_ladder(f, 7)
         for n in range(8):
             assert np.array_equal(H.norm_ladder(f, n), full[: n + 1]), f"max_order {n}"
+
+    @pytest.mark.parametrize("m0", [1, 2])
+    def test_work_buffer_gives_the_same_ladder(self, m0):
+        grid = LADDER_GRIDS[m0]
+        f = random_band_limited(np.random.default_rng(5), grid)
+        work = np.full((4,) + grid.shape, np.nan)
+        assert np.array_equal(H.norm_ladder(f, 7, work=work), H.norm_ladder(f, 7))
+        with pytest.raises(ValueError, match="work"):
+            H.norm_ladder(f, 7, work=np.empty((3,) + grid.shape))
+
+    def test_negative_total_warns_and_reads_zero(self):
+        # fields that do not vanish at the window edge: the half trapezoid
+        # weights at the end nodes make the discrete form indefinite
+        grid = H.make_grid(2, 5.12, 257, 2)
+        f = random_band_limited(np.random.default_rng(0), grid)
+        with pytest.warns(RuntimeWarning, match=r"order-\d norm is negative \(-") as caught:
+            ladder = H.norm_ladder(f, 7)
+        negative = [int(str(w.message).split("order-")[1][0]) for w in caught]
+        assert 0 in negative
+        assert np.all(ladder[negative] == 0.0)
+        # a field that vanishes at the edge stays silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H.norm_ladder(random_band_limited(np.random.default_rng(0), LADDER_GRIDS[2]), 7)
 
     def test_plan_keyed_by_grid_content(self):
         # equal grids built separately share the cached tables; a grid that
