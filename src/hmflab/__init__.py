@@ -66,6 +66,8 @@ from .simulate import (
 from .diagnostics import (
     NormMonitor,
     ScatteringResult,
+    conservation_drifts,
+    convergence_series,
     decay_fit,
     q_monitor,
     scattering_limit,

@@ -25,10 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import decay_fit, q_monitor, scattering_limit, weak_limit_profile, weighted_mode_series
-from .grids import SpectralField, make_grid, sobolev_norm, write_field_csv, write_series_csv
+from .diagnostics import (conservation_drifts, convergence_series, decay_fit, q_monitor, scattering_limit,
+                          weak_limit_profile, weighted_mode_series)
+from .grids import make_grid, write_field_csv, write_series_csv
 from .penrose import (InteractionKernel, ScanParameters, ScanRefinementError, critical_parameter, growth_rate,
-                      penrose_check)
+                      memory_kernel, penrose_check)
 from .profiles import HomogeneousProfile, Perturbation, load_profile_csv, maxwellian, save_profile_csv, two_stream
 from .simulate import InvariantViolation, NonFiniteState, SimConfig, run
 from .volterra import lemvolterra_harness, solve_volterra
@@ -257,91 +258,92 @@ def cmd_scatter(config_path, out: str | None) -> int:
     prof_inf = weak_limit_profile(result.field, cfg.profile, cfg.epsilon)
     save_profile_csv(prof_inf, d / "eta_inf.csv")
 
-    t_final = cfg.t_final
-    zeta_window = (max(1.0, t_final / 10.0), 0.9 * t_final)
+    zeta_window = (max(1.0, cfg.t_final / 10.0), 0.9 * cfg.t_final)
     zeta_slope, zeta_r2 = decay_fit(traj.field_modes, zeta_window, mode=1)
-    conv_t, conv = _convergence_series(traj, result)
-    sel = conv_t >= t_final / 10.0
-    fit = np.polyfit(np.log(conv_t[sel]), np.log(np.maximum(conv[sel], 1e-300)), 1)
+    slope, window = measure_scattering(traj, result)
     _save_json(d / "rates.json", {
         "zeta_slope": float(zeta_slope), "zeta_r2": float(zeta_r2),
         "zeta_window": list(zeta_window),
-        "scattering_slope": float(fit[0]),
-        "scattering_window": [float(t_final / 10.0), float(t_final)],
+        "scattering_slope": slope,
+        "scattering_window": list(window),
         "tail_estimate": result.tail_estimate,
     })
     write_timeseries_csv(traj, d / "timeseries.csv")
-    print(f"scatter: zeta slope {zeta_slope:.3f}, convergence slope {fit[0]:.3f}; artifacts in {d}")
+    print(f"scatter: zeta slope {zeta_slope:.3f}, convergence slope {slope:.3f}; artifacts in {d}")
     return EXIT_OK
 
 
-def _convergence_series(traj, result, order: int = 1, max_points: int = 64):
-    """||g(t) - g_inf||_{H^order} on log-spaced snapshot times (for log-log fits)."""
-    n = len(traj.snapshots) - 1
-    idx = np.unique(np.round(np.geomspace(1, n, max_points)).astype(int))
-    times = traj.snapshot_times[idx]
-    vals = np.empty(idx.size)
-    for j, i in enumerate(idx):
-        diff = SpectralField(traj.config.grid,
-                             traj.snapshots[i].values - result.field.values, real_valued=False)
-        vals[j] = sobolev_norm(diff, order)
-    return times, vals
-
-
 # ---------------------------------------------------------------------------
-# presets
+# presets: one config builder and one measurement function each, shared with
+# tests/test_acceptance.py; the thresholds live with the callers
 # ---------------------------------------------------------------------------
 
 def _check(results, name, passed, detail) -> None:
     results.append((name, bool(passed), detail))
 
 
-def _conservation_checks(results, traj, tag="") -> None:
-    mass_drift = float(np.max(np.abs(traj.mass_series - traj.mass_series[0])))
-    l2_drift = float(np.max(np.abs(traj.l2_series - traj.l2_series[0])) / traj.l2_series[0])
-    reality = float(np.max(traj.reality_series))
-    _check(results, f"mass mode drift{tag}", mass_drift <= 1e-12, f"{mass_drift:.3e} <= 1e-12")
-    _check(results, f"L2 drift{tag}", l2_drift <= 1e-6, f"{l2_drift:.3e} <= 1e-6")
-    _check(results, f"reality symmetry{tag}", reality <= 1e-10, f"{reality:.3e} <= 1e-10")
+def _conservation_checks(results, traj) -> None:
+    mass_drift, l2_drift, reality = conservation_drifts(traj)
+    _check(results, "mass mode drift", mass_drift <= 1e-12, f"{mass_drift:.3e} <= 1e-12")
+    _check(results, "L2 drift", l2_drift <= 1e-6, f"{l2_drift:.3e} <= 1e-6")
+    _check(results, "reality symmetry", reality <= 1e-10, f"{reality:.3e} <= 1e-10")
+
+
+def measure_volterra_analytic() -> tuple:
+    """z = 1 - int_0^t z on [0, 5] at dt = 1e-3 and dt/2: (solve at dt, its max error
+    against exp(-t), error ratio dt -> dt/2, which is 4 at second order)."""
+    sols = [solve_volterra(lambda t: -np.ones_like(t), lambda t: np.ones_like(t), dt=dt, t_final=5.0)
+            for dt in (1e-3, 5e-4)]
+    err, err_half = (float(np.max(np.abs(sol.mode(0) - np.exp(-sol.times)))) for sol in sols)
+    return sols[0], err, err / err_half
 
 
 def _preset_volterra_analytic(d: Path, results: list) -> None:
-    dt = 1e-3
-    sol = solve_volterra(lambda t: -np.ones_like(t), lambda t: np.ones_like(t), dt=dt, t_final=5.0)
-    exact = np.exp(-sol.times)
-    err = float(np.max(np.abs(sol.mode(0) - exact)))
+    sol, err, ratio = measure_volterra_analytic()
     _check(results, "analytic max error", err <= 1e-6, f"{err:.3e} <= 1e-6")
-    sol2 = solve_volterra(lambda t: -np.ones_like(t), lambda t: np.ones_like(t), dt=dt / 2, t_final=5.0)
-    err2 = float(np.max(np.abs(sol2.mode(0) - np.exp(-sol2.times))))
-    ratio = err / err2
     _check(results, "halving dt divides error by 4 +- 20%", 3.2 <= ratio <= 4.8, f"ratio {ratio:.3f}")
     write_series_csv(d / "volterra_analytic.csv", "t,zeta,exact",
-                     [sol.times, sol.mode(0).real, exact])
+                     [sol.times, sol.mode(0).real, np.exp(-sol.times)])
+
+
+def measure_penrose_scan() -> tuple:
+    """(T_c of the anticosine maxwellian family to 1e-3, Penrose report of the cosine
+    maxwellian at T = 1, whether that report is stable with winding 0)."""
+    t_c = critical_parameter(lambda T: (InteractionKernel.anticosine(), maxwellian(T)), 0.1, 1.0, tol=1e-3)
+    report = penrose_check(InteractionKernel.cosine(), maxwellian(1.0))
+    return t_c, report, report.stable and report.modes[0].winding == 0
 
 
 def _preset_penrose_scan(d: Path, results: list) -> None:
-    family = lambda T: (InteractionKernel.anticosine(), maxwellian(T))
-    t_c = critical_parameter(family, 0.1, 1.0, tol=1e-3)
+    t_c, report, cosine_stable = measure_penrose_scan()
     _check(results, "anticosine critical temperature", abs(t_c - 0.5) <= 1e-3, f"T_c = {t_c:.5f}")
-    report = penrose_check(InteractionKernel.cosine(), maxwellian(1.0))
-    _check(results, "cosine maxwellian stable", report.stable and report.modes[0].winding == 0,
+    _check(results, "cosine maxwellian stable", cosine_stable,
            f"stable={report.stable}, winding={report.modes[0].winding}")
     _save_json(d / "penrose_report.json", report.to_json_dict())
     _save_json(d / "critical_temperature.json", {"T_c": t_c, "tolerance": 1e-3})
 
 
-def _preset_linear_crosscheck(d: Path, results: list) -> None:
+def crosscheck_run_config() -> SimConfig:
+    """Linear (eps = 0) cosine run checked against the Volterra solve."""
     grid = make_grid(4, 82.0, 4097, 1)
-    cfg = SimConfig(grid=grid, kernel=InteractionKernel.cosine(), profile=maxwellian(1.0),
-                    perturbations=Perturbation(mode=1, amplitude=1.0, envelope="gaussian"),
-                    epsilon=0.0, dt=5e-3, t_final=20.0, record_every=400, s=7)
-    traj = run(cfg)
-    initial = traj.snapshots[0]
-    forcing = initial.interp(1, traj.times)
-    vol = solve_volterra(lambda t: -0.5 * t * np.exp(-t * t / 2.0), forcing, dt=cfg.dt, mode=1)
+    return SimConfig(grid=grid, kernel=InteractionKernel.cosine(), profile=maxwellian(1.0),
+                     perturbations=Perturbation(mode=1, amplitude=1.0, envelope="gaussian"),
+                     epsilon=0.0, dt=5e-3, t_final=20.0, record_every=800, s=7)
+
+
+def measure_crosscheck(traj) -> tuple:
+    """(relative sup distance of the run's z_1 from the Volterra solve forced by its
+    initial state, that solve)."""
+    cfg = traj.config
+    forcing = traj.snapshots[0].interp(1, traj.times)
+    vol = solve_volterra(lambda t: memory_kernel(cfg.kernel, cfg.profile, 1, t), forcing, dt=cfg.dt, mode=1)
     num = float(np.max(np.abs(traj.field_modes.mode(1) - vol.mode(1))))
-    den = float(np.max(np.abs(vol.mode(1))))
-    rel = num / den
+    return num / float(np.max(np.abs(vol.mode(1)))), vol
+
+
+def _preset_linear_crosscheck(d: Path, results: list) -> None:
+    traj = run(crosscheck_run_config())
+    rel, vol = measure_crosscheck(traj)
     _check(results, "field-mode crosscheck", rel <= 1e-4, f"rel sup discrepancy {rel:.3e} <= 1e-4")
     _conservation_checks(results, traj)
     write_timeseries_csv(traj, d / "timeseries.csv")
@@ -350,23 +352,23 @@ def _preset_linear_crosscheck(d: Path, results: list) -> None:
 
 
 def damping_run_config() -> SimConfig:
-    """Shared run for the damping-rate and scattering presets.
-
-    dt is sized so the trapezoidal accumulation floor of the scattering
-    state (which scales like dt^2) sits well below the convergence signal
-    across the final decade.
-    """
+    """Nonlinear cosine run for the damping-rate preset; only the per-step
+    series are read, so snapshots are recorded sparsely."""
     grid = make_grid(2, 184.0, 1841, 1)
     return SimConfig(grid=grid, kernel=InteractionKernel.cosine(), profile=maxwellian(1.0),
                      perturbations=Perturbation(mode=1, amplitude=1.0, envelope="algebraic",
                                                 tail_exponent=7.0),
-                     epsilon=0.01, dt=0.05, t_final=90.0, record_every=1, s=7)
+                     epsilon=0.01, dt=0.05, t_final=90.0, record_every=100, s=7)
+
+
+def measure_damping(traj) -> tuple:
+    """(slope, r2) of log|z_1| against log t on [10, 80]."""
+    return decay_fit(traj.field_modes, (10.0, 80.0), mode=1)
 
 
 def _preset_damping_cosine(d: Path, results: list) -> None:
-    cfg = damping_run_config()
-    traj = run(cfg)
-    slope, r2 = decay_fit(traj.field_modes, (10.0, 80.0), mode=1)
+    traj = run(damping_run_config())
+    slope, r2 = measure_damping(traj)
     _check(results, "field-mode decay exponent", slope <= -5.5,
            f"slope {slope:.3f} <= -5.5 (r2={r2:.4f})")
     _conservation_checks(results, traj)
@@ -389,6 +391,17 @@ def scattering_run_config() -> SimConfig:
                      epsilon=0.01, dt=0.01, t_final=20.0, record_every=1, s=7)
 
 
+def measure_scattering(traj, result) -> tuple:
+    """(slope, window) of log ||g(t) - g_inf||_{H^1} against log t on [T/10, 0.98 T]; near
+    T the distance sits on the O(dt^2) floor of the accumulated g_inf."""
+    t_final = traj.config.t_final
+    window = (t_final / 10.0, 0.98 * t_final)
+    conv_t, conv = convergence_series(traj, result.field)
+    sel = (conv_t >= window[0]) & (conv_t <= window[1])
+    slope = np.polyfit(np.log(conv_t[sel]), np.log(np.maximum(conv[sel], 1e-300)), 1)[0]
+    return float(slope), window
+
+
 def _preset_scattering(d: Path, results: list) -> None:
     cfg = scattering_run_config()
     traj = run(cfg)
@@ -399,18 +412,14 @@ def _preset_scattering(d: Path, results: list) -> None:
     add_err = float(np.max(np.abs(resumed.field.values - result.field.values)))
     _check(results, "split-and-resume additivity", add_err <= 1e-12, f"{add_err:.3e} <= 1e-12")
 
-    conv_t, conv = _convergence_series(traj, result)
-    sel = (conv_t >= cfg.t_final / 10.0) & (conv_t <= 0.98 * cfg.t_final)
-    fit = np.polyfit(np.log(conv_t[sel]), np.log(np.maximum(conv[sel], 1e-300)), 1)
+    slope, window = measure_scattering(traj, result)
     bound = -(cfg.s - 4) + 1
-    _check(results, "scattering convergence exponent", fit[0] <= bound,
-           f"slope {fit[0]:.3f} <= {bound}")
+    _check(results, "scattering convergence exponent", slope <= bound, f"slope {slope:.3f} <= {bound}")
     _conservation_checks(results, traj)
 
     write_field_csv(result.field, d / "g_inf.csv")
     save_profile_csv(weak_limit_profile(result.field, cfg.profile, cfg.epsilon), d / "eta_inf.csv")
-    _save_json(d / "rates.json", {"scattering_slope": float(fit[0]),
-                                  "window": [cfg.t_final / 10.0, cfg.t_final],
+    _save_json(d / "rates.json", {"scattering_slope": slope, "window": list(window),
                                   "tail_estimate": result.tail_estimate})
 
 
@@ -421,23 +430,28 @@ def unstable_run_config() -> SimConfig:
                      epsilon=0.0, dt=0.02, t_final=30.0, record_every=50, s=7)
 
 
-def _preset_unstable_anticosine(d: Path, results: list) -> None:
-    cfg = unstable_run_config()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        traj = run(cfg)
+def measure_unstable(traj) -> tuple:
+    """(growth max|z_1| / |z_1(0)|, rate fitted to log|z_1| on t >= 15, resolvent root,
+    relative gap of the two rates)."""
+    cfg = traj.config
     z = np.abs(traj.field_modes.mode(1))
     growth = float(np.max(z) / z[0])
-    _check(results, "field mode grows 10x", growth >= 10.0, f"growth {growth:.1f}x >= 10x")
-
     lam = growth_rate(cfg.kernel, cfg.profile, n=1)
     sel = traj.times >= 15.0
-    fit = np.polyfit(traj.times[sel], np.log(z[sel]), 1)
-    rel = abs(fit[0] - lam) / lam
+    fitted = float(np.polyfit(traj.times[sel], np.log(z[sel]), 1)[0])
+    return growth, fitted, lam, abs(fitted - lam) / lam
+
+
+def _preset_unstable_anticosine(d: Path, results: list) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        traj = run(unstable_run_config())
+    growth, fitted, lam, rel = measure_unstable(traj)
+    _check(results, "field mode grows 10x", growth >= 10.0, f"growth {growth:.1f}x >= 10x")
     _check(results, "growth rate matches resolvent root", rel <= 0.2,
-           f"fitted {fit[0]:.4f} vs root {lam:.4f} ({100 * rel:.1f}% off)")
+           f"fitted {fitted:.4f} vs root {lam:.4f} ({100 * rel:.1f}% off)")
     write_timeseries_csv(traj, d / "timeseries.csv")
-    _save_json(d / "rates.json", {"growth_rate_fit": float(fit[0]), "resolvent_root": lam})
+    _save_json(d / "rates.json", {"growth_rate_fit": fitted, "resolvent_root": lam})
 
 
 def finite_m2_run_config() -> SimConfig:
@@ -462,16 +476,23 @@ def finite_m2_run_config() -> SimConfig:
                      record_every=8, s=s)
 
 
-def _preset_finite_m2(d: Path, results: list) -> None:
-    cfg = finite_m2_run_config()
-    traj = run(cfg)
+def measure_finite_m2(traj) -> tuple:
+    """(finite-M monitor, q_sup(T) / q_sup(T/2), {k: (gamma, slope, r2)} of <t>^gamma |z_k|
+    on [15, 40] for k = 1, 2 with gamma = s + 1 - 2k)."""
     mon = q_monitor(traj, variant="finite_M")
-    ratio = mon.growth_from_halfway()
-    _check(results, "composite monitor bounded", ratio < 2.0, f"q_sup(T)/q_sup(T/2) = {ratio:.3f} < 2")
+    fits = {}
     for k in (1, 2):
-        gamma = cfg.s + 1 - 2 * k
-        slope, r2 = decay_fit(weighted_mode_series(traj.field_modes, gamma, mode=k),
-                              (15.0, 40.0), mode=k)
+        gamma = traj.config.s + 1 - 2 * k
+        slope, r2 = decay_fit(weighted_mode_series(traj.field_modes, gamma, mode=k), (15.0, 40.0), mode=k)
+        fits[k] = (gamma, slope, r2)
+    return mon, mon.growth_from_halfway(), fits
+
+
+def _preset_finite_m2(d: Path, results: list) -> None:
+    traj = run(finite_m2_run_config())
+    mon, ratio, fits = measure_finite_m2(traj)
+    _check(results, "composite monitor bounded", ratio < 2.0, f"q_sup(T)/q_sup(T/2) = {ratio:.3f} < 2")
+    for k, (gamma, slope, r2) in fits.items():
         _check(results, f"weighted mode {k} near-flat", slope >= -0.5,
                f"<t>^{gamma}|z_{k}| slope {slope:.3f} >= -0.5 (r2={r2:.3f})")
     _conservation_checks(results, traj)

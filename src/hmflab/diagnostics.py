@@ -1,6 +1,7 @@
 """
-Post-processing monitors: composite weighted norms, damping-rate fits, the
-scattering limit, and the weak limit of the spatial average.
+Post-processing monitors: composite weighted norms, damping-rate fits,
+conservation drifts, the scattering limit and the distance to it, and the
+weak limit of the spatial average.
 
 The composite monitor tracks three suprema over [0, T],
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .grids import SpectralField, sobolev_norm
 from .profiles import HomogeneousProfile, profile_values, tabulated
-from .simulate import Trajectory, _rhs
+from .simulate import Trajectory, assemble_rhs
 from .volterra import ModeSeries
 
 __all__ = [
@@ -32,8 +33,10 @@ __all__ = [
     "q_monitor",
     "decay_fit",
     "weighted_mode_series",
+    "conservation_drifts",
     "ScatteringResult",
     "scattering_limit",
+    "convergence_series",
     "weak_limit_profile",
 ]
 
@@ -157,6 +160,15 @@ def decay_fit(series: ModeSeries, window: tuple, mode: int = 1) -> tuple:
     return float(slope), float(r2)
 
 
+def conservation_drifts(traj: Trajectory) -> tuple:
+    """(mass, L2, reality): largest drift of ghat_0(t, 0), largest drift of ||eta + eps*g||_L2
+    relative to t = 0, and largest per-step symmetry defect."""
+    mass = float(np.max(np.abs(traj.mass_series - traj.mass_series[0])))
+    l2 = float(np.max(np.abs(traj.l2_series - traj.l2_series[0])) / traj.l2_series[0])
+    reality = float(np.max(traj.reality_series))
+    return mass, l2, reality
+
+
 @dataclass(frozen=True)
 class ScatteringResult:
     """Accumulated scattering state with a tail-of-integral indicator."""
@@ -196,17 +208,26 @@ def scattering_limit(traj: Trajectory, up_to: float | None = None,
         raise ValueError(f"empty accumulation range [{times[i0]}, {t_end}]")
 
     dt = cfg.dt
-    rhs_cache = None
     for i in range(i0, i1 + 1):
-        rhs_cache = _rhs(traj.snapshots[i].values, float(times[i]), cfg)
+        rhs = assemble_rhs(traj.snapshots[i], float(times[i]), cfg)
         w = 0.5 * dt if i in (i0, i1) else dt
-        acc += w * rhs_cache
+        acc += w * rhs.values
 
     field = SpectralField(cfg.grid, acc, real_valued=True)
     low_order = max(cfg.s - 4, 1)
-    rhs_field = SpectralField(cfg.grid, rhs_cache, real_valued=False)
-    tail = sobolev_norm(rhs_field, low_order) * np.sqrt(1.0 + times[i1] ** 2)
+    tail = sobolev_norm(rhs, low_order) * np.sqrt(1.0 + times[i1] ** 2)
     return ScatteringResult(field=field, tail_estimate=float(tail), t_final=float(times[i1]))
+
+
+def convergence_series(traj: Trajectory, g_inf: SpectralField) -> tuple:
+    """(times, ||g(t) - g_inf||_{H^1}) on up to 64 log-spaced snapshots after t = 0."""
+    n = len(traj.snapshots) - 1
+    idx = np.unique(np.round(np.geomspace(1, n, 64)).astype(int))
+    vals = np.empty(idx.size)
+    for j, i in enumerate(idx):
+        diff = SpectralField(g_inf.grid, traj.snapshots[i].values - g_inf.values, real_valued=False)
+        vals[j] = sobolev_norm(diff, 1)
+    return traj.snapshot_times[idx], vals
 
 
 def weak_limit_profile(g_inf: SpectralField, prof: HomogeneousProfile, epsilon: float,

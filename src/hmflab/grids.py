@@ -298,10 +298,13 @@ def _ladder_plan(grid: PhaseGrid, max_order: int):
     return ident, bands, kfac
 
 
-def norm_ladder(field: SpectralField, max_order: int, *, work: np.ndarray | None = None) -> np.ndarray:
+def norm_ladder(field: SpectralField | np.ndarray, max_order: int, *, grid: PhaseGrid | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
     """
     All weighted Sobolev norms of order 0..max_order in one sweep.
 
+    ``field`` may be a bare complex array of ``grid``'s shape, which spares a
+    caller that holds its state in a buffer the copy a SpectralField makes.
     ``work``, when given, is a float array of shape ``(4,) + grid.shape``
     that the call uses as scratch for its grid-size intermediates instead of
     allocating them; a caller that takes the ladder at every step keeps one.
@@ -322,9 +325,15 @@ def norm_ladder(field: SpectralField, max_order: int, *, work: np.ndarray | None
     """
     if max_order < 0:
         raise ValueError(f"norm order must be >= 0, got {max_order}")
-    grid = field.grid
+    if isinstance(field, SpectralField):
+        grid, u = field.grid, field.values
+    elif grid is None:
+        raise TypeError("grid required when passing a bare array")
+    elif field.shape != grid.shape:
+        raise ValueError(f"values shape {field.shape} != grid shape {grid.shape}")
+    else:
+        u = field
     ident, bands, kfac = _ladder_plan(grid, max_order)
-    u = field.values
     n = grid.n_xi
     if work is None:
         work = np.empty((4,) + u.shape)

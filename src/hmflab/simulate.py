@@ -266,8 +266,7 @@ class _Monitors:
     def sample(self, values: np.ndarray) -> tuple:
         mass = complex(values[self.row0, self.zero_col])
         l2 = self.full_l2(values)
-        wrapped = SpectralField(self.cfg.grid, values, real_valued=False)
-        ladder = norm_ladder(wrapped, self.cfg.s, work=self.work)
+        ladder = norm_ladder(values, self.cfg.s, grid=self.cfg.grid, work=self.work)
         return mass, l2, ladder
 
 

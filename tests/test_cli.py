@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hmflab as H
-from hmflab.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, ConfigError, main,
+from hmflab.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, ConfigError, main, measure_scattering,
                         parse_config, run_preset)
 
 
@@ -150,6 +150,11 @@ class TestSubcommands:
         rates = json.loads((out / "rates.json").read_text())
         for key in ("zeta_slope", "zeta_r2", "scattering_slope", "tail_estimate"):
             assert key in rates
+        # the slope is the shared measurement, on the window it reports
+        traj = H.run(parse_config(cfg_path)[0])
+        slope, window = measure_scattering(traj, H.scattering_limit(traj))
+        assert rates["scattering_slope"] == slope
+        assert rates["scattering_window"] == list(window) == [1.0, 9.8]
 
     def test_scatter_requires_per_step_recording(self, tmp_path):
         doc = dict(TINY)
@@ -180,15 +185,6 @@ class TestDeterminism:
         assert main(["run-sim", cfg_path, "--out", str(out2)]) == EXIT_OK
         assert (out1 / "timeseries.csv").read_bytes() == (out2 / "timeseries.csv").read_bytes()
         assert (out1 / "final_state.csv").read_bytes() == (out2 / "final_state.csv").read_bytes()
-
-    def test_thread_env_only_affects_speed(self, tmp_path, monkeypatch):
-        cfg_path = write_config(tmp_path, TINY)
-        out1, out2 = tmp_path / "t1", tmp_path / "t4"
-        monkeypatch.setenv("HMF_THREADS", "1")
-        assert main(["run-sim", cfg_path, "--out", str(out1)]) == EXIT_OK
-        monkeypatch.setenv("HMF_THREADS", "4")
-        assert main(["run-sim", cfg_path, "--out", str(out2)]) == EXIT_OK
-        assert (out1 / "timeseries.csv").read_bytes() == (out2 / "timeseries.csv").read_bytes()
 
     def test_blas_thread_count_does_not_change_csvs(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY)

@@ -1,4 +1,6 @@
-"""Norm monitors, rate fits, scattering limit, and the weak limit."""
+"""Norm monitors, rate fits, conservation drifts, scattering limit, and the weak limit."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -157,6 +159,31 @@ class TestScatteringLimit:
                                    real_valued=False)
             norms.append(H.sobolev_norm(diff, 1))
         assert norms[0] > norms[1] > norms[2]
+
+    def test_convergence_series_on_log_spaced_snapshots(self, small_run):
+        res = H.scattering_limit(small_run)
+        times, dist = H.convergence_series(small_run, res.field)
+        snap_t = small_run.snapshot_times
+        assert len(times) <= 64 and np.all(np.diff(times) > 0)
+        assert times[0] == snap_t[1] and times[-1] == snap_t[-1]
+        gaps = np.diff(np.log(times[len(times) // 2:]))      # log spacing past the rounding
+        assert np.max(gaps) / np.min(gaps) < 1.5
+        for j in (0, len(times) // 2, -1):
+            i = int(np.argmin(np.abs(snap_t - times[j])))
+            diff = H.SpectralField(small_run.config.grid, small_run.snapshots[i].values - res.field.values,
+                                   real_valued=False)
+            assert dist[j] == H.sobolev_norm(diff, 1)
+
+
+class TestConservationDrifts:
+    def test_reads_each_series(self, small_run):
+        n = len(small_run.times)
+        doctored = dataclasses.replace(small_run, mass_series=np.full(n, 1.0 + 0j),
+                                       l2_series=np.full(n, 2.0), reality_series=np.zeros(n))
+        doctored.mass_series[-1] += 3e-3j
+        doctored.l2_series[5] = 2.2
+        doctored.reality_series[7] = 4e-11
+        assert H.conservation_drifts(doctored) == pytest.approx((3e-3, 0.1, 4e-11), rel=1e-12)
 
 
 class TestWeakLimit:

@@ -1,0 +1,30 @@
+"""Package layout: modules reach each other only through public names."""
+
+import ast
+from pathlib import Path
+
+import hmflab as H
+
+SRC = Path(H.__file__).resolve().parent
+
+
+def private_imports(path: Path) -> list:
+    """(line, module, name) of every `_`-prefixed name a module imports from within the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("hmflab")):
+            found += [(node.lineno, node.module, a.name) for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_no_private_imports_across_modules():
+    offenders = {p.name: private_imports(p) for p in sorted(SRC.glob("*.py"))}
+    offenders = {name: hits for name, hits in offenders.items() if hits}
+    assert not offenders, f"private names imported across modules: {offenders}"
+
+
+def test_checker_sees_private_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\nfrom .simulate import Trajectory, _rhs\n"
+                     "from hmflab.grids import _lagrange_weights\nfrom .grids import make_grid\n")
+    assert private_imports(probe) == [(2, "simulate", "_rhs"), (3, "hmflab.grids", "_lagrange_weights")]

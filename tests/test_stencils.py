@@ -125,6 +125,16 @@ class TestNormLadder:
         with pytest.raises(ValueError, match="work"):
             H.norm_ladder(f, 7, work=np.empty((3,) + grid.shape))
 
+    @pytest.mark.parametrize("m0", [1, 2])
+    def test_bare_array_gives_the_same_ladder(self, m0):
+        grid = LADDER_GRIDS[m0]
+        f = random_band_limited(np.random.default_rng(6), grid)
+        assert np.array_equal(H.norm_ladder(f.values.copy(), 7, grid=grid), H.norm_ladder(f, 7))
+        with pytest.raises(TypeError, match="grid"):
+            H.norm_ladder(f.values, 7)
+        with pytest.raises(ValueError, match="shape"):
+            H.norm_ladder(f.values[:, :-1], 7, grid=grid)
+
     def test_negative_total_warns_and_reads_zero(self):
         # fields that do not vanish at the window edge: the half trapezoid
         # weights at the end nodes make the discrete form indefinite
