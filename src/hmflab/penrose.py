@@ -113,13 +113,15 @@ def memory_kernel(ik: InteractionKernel, prof: HomogeneousProfile, n: int, t):
 
 
 def _kernel_cutoff(ik: InteractionKernel, prof: HomogeneousProfile, n: int) -> float:
-    """Smallest sampled t beyond which |K(n, .)| stays under the truncation threshold."""
-    t = np.linspace(0.0, _T_CUT_CAP, 2001)
-    mag = np.abs(memory_kernel(ik, prof, n, t))
-    above = np.nonzero(mag >= _KERNEL_TINY)[0]
-    if above.size == 0:
-        return 1.0
-    return float(min(t[above[-1]] + 2.0, _T_CUT_CAP))
+    """Smallest sampled t beyond which |K(n, .)| stays under the truncation
+    threshold, cached on the frozen profile per (kernel coefficients, n)."""
+    cutoffs = prof.__dict__.setdefault("_kernel_cutoffs", {})
+    key = (ik.coefficients, n)
+    if key not in cutoffs:
+        t = np.linspace(0.0, _T_CUT_CAP, 2001)
+        above = np.nonzero(np.abs(memory_kernel(ik, prof, n, t)) >= _KERNEL_TINY)[0]
+        cutoffs[key] = float(min(t[above[-1]] + 2.0, _T_CUT_CAP)) if above.size else 1.0
+    return cutoffs[key]
 
 
 def _panel_rule(ik, prof, n, tau_abs_max: float):

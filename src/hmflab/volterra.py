@@ -18,6 +18,8 @@ import numpy as np
 
 from .penrose import InteractionKernel, memory_kernel, penrose_check
 
+_SUPPORT_TINY = 1e-16  # |K| relative to its peak below which a lag is dropped
+
 __all__ = [
     "ModeSeries",
     "product_trapezoid",
@@ -97,25 +99,53 @@ def product_trapezoid(kernel_samples: np.ndarray, forcing_samples: np.ndarray, d
     ``kernel_samples[m]`` holds K(m*dt).  Each step solves the implicit
     diagonal term in closed form: z_j = (F_j + dt*(K_j z_0/2 + sum_{0<i<j}
     K_{j-i} z_i)) / (1 - dt*K_0/2).
+
+    The history sum runs over the kernel's numerical support only: with L
+    the last index where |K_m| > 1e-16 max|K| (0 for a zero kernel), step j
+    sums the lags 1..min(L, j-1), which drops at most
+    n * 1e-16 * max|K| * max|z| * dt.  When the last sample is above that
+    level, L = n and every step sums its whole history.
+
+    ``forcing_samples`` of shape (m, n+1) holds one forcing per row; the
+    rows march together, each exactly as its own 1-D solve, and the result
+    has the forcing's shape.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     K = np.asarray(kernel_samples, dtype=np.complex128)
     F = np.asarray(forcing_samples, dtype=np.complex128)
-    if K.shape != F.shape:
+    if K.ndim != 1 or F.ndim not in (1, 2) or F.shape[-1] != K.size:
         raise ValueError("kernel and forcing sample arrays must be aligned")
     denom = 1.0 - 0.5 * dt * K[0]
     if abs(denom) < 1e-8:
         raise ValueError(f"step-size failure: |1 - (dt/2) K(0)| = {abs(denom):.2e} < 1e-8, reduce dt")
     n = K.size - 1
-    z = np.empty(n + 1, dtype=np.complex128)
-    z[0] = F[0]
+    mag = np.abs(K)
+    above = np.nonzero(mag > _SUPPORT_TINY * mag.max())[0]
+    support = int(above[-1]) if above.size else 0
+    out = np.empty(F.shape, dtype=np.complex128)
+    f, z = F.reshape(-1, n + 1), out.reshape(-1, n + 1)
+    z[:, 0] = f[:, 0]
+    starts = list(z[:, 0])
     for j in range(1, n + 1):
-        acc = 0.5 * K[j] * z[0]
-        if j > 1:
-            acc = acc + np.add.reduce(K[1:j][::-1] * z[1:j])
-        z[j] = (F[j] + dt * acc) / denom
-    return z
+        lo = max(1, j - support)
+        half = 0.5 * K[j]
+        # one reduction along the last axis keeps each row's pairwise order;
+        # the rest of the step is the 1-D loop's scalar arithmetic, per row
+        sums = np.add.reduce(K[j - lo:0:-1] * z[:, lo:j], axis=-1) if j > lo else None
+        for r, z0 in enumerate(starts):
+            acc = half * z0
+            if sums is not None:
+                acc = acc + sums[r]
+            z[r, j] = (f[r, j] + dt * acc) / denom
+    return out
+
+
+def _step_count(t_final: float, dt: float) -> int:
+    n = int(round(t_final / dt))
+    if abs(n * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
+    return n
 
 
 def solve_volterra(kernel, forcing, dt: float, t_final: float | None = None,
@@ -132,10 +162,7 @@ def solve_volterra(kernel, forcing, dt: float, t_final: float | None = None,
         if callable(probe):
             raise ValueError("t_final required when both kernel and forcing are callables")
         t_final = (len(probe) - 1) * dt
-    n = int(round(t_final / dt))
-    if abs(n * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
-    times = np.arange(n + 1) * dt
+    times = np.arange(_step_count(t_final, dt) + 1) * dt
     z = product_trapezoid(_samples(kernel, times), _samples(forcing, times), dt)
     return ModeSeries(times, {mode: z})
 
@@ -179,14 +206,17 @@ def lemvolterra_harness(ik: InteractionKernel, prof, gammas, t_values,
         raise ValueError("harness refused: state fails the stability check; the bound presumes it")
     if forcing_family is None:
         forcing_family = lambda g: (lambda t: (1.0 + t * t) ** (-g / 2.0))
+    steps = [_step_count(float(t_final), dt) for t_final in t_values]
+    # one batched march on the longest grid; the march is causal, so each
+    # shorter T reads its solution as a prefix
+    times = np.arange(max(steps, default=0) + 1) * dt
+    forcings = np.reshape([_samples(forcing_family(g), times) for g in gammas], (len(gammas), times.size))
+    solutions = product_trapezoid(memory_kernel(ik, prof, mode, times), forcings, dt)
     rows = []
-    for gamma in gammas:
-        forcing = forcing_family(gamma)
-        for t_final in t_values:
-            sol = solve_volterra(lambda t: memory_kernel(ik, prof, mode, t),
-                                 forcing, dt=dt, t_final=float(t_final), mode=mode)
-            f_series = ModeSeries(sol.times, {mode: _samples(forcing, sol.times)})
-            num = weighted_sup(sol, gamma)
-            den = weighted_sup(f_series, gamma)
+    for gamma, f, z in zip(gammas, forcings, solutions):
+        for t_final, n in zip(t_values, steps):
+            head = times[:n + 1]
+            num = weighted_sup(ModeSeries(head, {mode: z[:n + 1]}), gamma)
+            den = weighted_sup(ModeSeries(head, {mode: f[:n + 1]}), gamma)
             rows.append((float(gamma), float(t_final), num / den if den > 0 else 0.0))
     return rows

@@ -142,7 +142,7 @@ def test_criterion_06_scattering_rate(scattering_data):
     bound = -(traj.config.s - 4) + 1
     report("criterion 6", slope <= bound and secs < 300.0,
            f"||g(t) - g_inf||_H1 log-log slope on the final decade = {slope:.2f} <= {bound}, "
-           f"runtime {secs:.1f}s (run shared with the damping family)")
+           f"runtime {secs:.1f}s (run: scattering_run_config())")
 
 
 def test_criterion_07_conservation_suite(damping_traj, scattering_data, m2_traj,

@@ -1,6 +1,9 @@
 """Package layout: modules reach each other only through public names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hmflab as H
@@ -28,3 +31,13 @@ def test_checker_sees_private_imports(tmp_path):
     probe.write_text("from __future__ import annotations\nfrom .simulate import Trajectory, _rhs\n"
                      "from hmflab.grids import _lagrange_weights\nfrom .grids import make_grid\n")
     assert private_imports(probe) == [(2, "simulate", "_rhs"), (3, "hmflab.grids", "_lagrange_weights")]
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal adds ~0.9 s to every process that imports hmflab
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", "import sys, hmflab; print('scipy.signal' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

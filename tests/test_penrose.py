@@ -161,6 +161,28 @@ class TestGrowthRate:
             H.growth_rate(COS, H.maxwellian(1.0))
 
 
+class TestKernelCutoffCache:
+    def test_second_probe_takes_no_new_sample(self, monkeypatch):
+        samples = []
+        kernel = penrose.memory_kernel
+
+        def counting(ik, prof, n, t):
+            samples.append(np.size(t))
+            return kernel(ik, prof, n, t)
+
+        monkeypatch.setattr(penrose, "memory_kernel", counting)
+        prof, taus = H.maxwellian(0.8), np.array([0.5, 3.0])
+        first = H.memory_kernel_transform(COS, prof, 1, taus)
+        assert samples.count(2001) == 1
+        # same content, another kernel object: still no new sample
+        second = H.memory_kernel_transform(H.InteractionKernel((0.5,)), prof, 1, taus)
+        assert samples.count(2001) == 1
+        assert np.array_equal(first, second)
+        H.memory_kernel_transform(TWO, prof, 2, taus)
+        H.memory_kernel_transform(COS, H.maxwellian(0.8), 1, taus)
+        assert samples.count(2001) == 3
+
+
 def dense_uniform_scan(ik, prof, n, taus):
     """The initial scan as the dense sum of memory_kernel_transform on the
     same rule: the reference for the chirp-z scan path."""

@@ -4,9 +4,41 @@ import numpy as np
 import pytest
 
 import hmflab as H
+from hmflab import volterra
 
 ONES = lambda t: np.ones_like(t)
 NEG_ONES = lambda t: -np.ones_like(t)
+TWO = H.InteractionKernel((0.5, 0.25))
+
+
+def reference_march(kernel_samples, forcing_samples, dt, support=None):
+    """The full-history product-trapezoid loop, the reference for the
+    truncated batched march; ``support`` keeps only the lags 1..support."""
+    K = np.asarray(kernel_samples, dtype=np.complex128)
+    F = np.asarray(forcing_samples, dtype=np.complex128)
+    denom = 1.0 - 0.5 * dt * K[0]
+    n = K.size - 1
+    support = n if support is None else support
+    z = np.empty(n + 1, dtype=np.complex128)
+    z[0] = F[0]
+    for j in range(1, n + 1):
+        lo = max(1, j - support)
+        acc = 0.5 * K[j] * z[0]
+        if j > lo:
+            acc = acc + np.add.reduce(K[1:j - lo + 1][::-1] * z[lo:j])
+        z[j] = (F[j] + dt * acc) / denom
+    return z
+
+
+def support_index(K):
+    """Last index where |K| exceeds 1e-16 of its peak."""
+    mag = np.abs(K)
+    return int(np.nonzero(mag > 1e-16 * mag.max())[0][-1])
+
+
+def kernel_and_forcing(ik, T, n, dt=0.02, t_final=60.0):
+    t = np.arange(int(round(t_final / dt)) + 1) * dt
+    return H.memory_kernel(ik, H.maxwellian(T), n, t), (1 + t * t) ** -1.5 * np.exp(0.3j * t), dt
 
 
 class TestSolveVolterra:
@@ -72,6 +104,48 @@ class TestSolveVolterra:
             H.solve_volterra(NEG_ONES, ONES, dt=0.3, t_final=1.0)
 
 
+TRUNCATED_CASES = [(H.InteractionKernel.cosine(), T, 1) for T in (0.365, 1.0, 1.51)]
+TRUNCATED_CASES += [(TWO, T, n) for T in (0.365, 1.0, 1.51) for n in (1, 2)]
+
+
+class TestTruncatedMarch:
+    @pytest.mark.parametrize("ik, T, n", TRUNCATED_CASES)
+    def test_matches_full_history(self, ik, T, n):
+        K, F, dt = kernel_and_forcing(ik, T, n)
+        assert support_index(K) < K.size // 2, "the kernel must be truncated for this test to bite"
+        got = H.product_trapezoid(K, F, dt)
+        ref = reference_march(K, F, dt)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ik, T, n", TRUNCATED_CASES[:3])
+    def test_sums_exactly_the_support(self, ik, T, n):
+        # bitwise equal to the loop cut at the support, so the cutoff is not off by one
+        K, F, dt = kernel_and_forcing(ik, T, n)
+        got = H.product_trapezoid(K, F, dt)
+        assert np.array_equal(got, reference_march(K, F, dt, support=support_index(K)))
+        assert not np.array_equal(got, reference_march(K, F, dt, support=support_index(K) - 1))
+
+    @pytest.mark.parametrize("kernel, forcing", [(NEG_ONES, ONES),
+                                                 (np.cos, lambda t: np.exp(1j * t) / (1 + t))])
+    def test_non_decaying_kernel_is_the_full_history_loop(self, kernel, forcing):
+        t = np.arange(5001) * 1e-3
+        got = H.solve_volterra(kernel, forcing, dt=1e-3, t_final=5.0).mode(0)
+        assert np.array_equal(got, reference_march(kernel(t), forcing(t), 1e-3))
+
+    def test_batched_rows_equal_their_own_solves(self):
+        K, _, dt = kernel_and_forcing(TWO, 1.0, 1)
+        t = np.arange(K.size) * dt
+        F = np.array([(1 + t * t) ** (-g / 2) * np.exp(1j * g * (t + 1)) for g in (2.0, 3.5, 6.0)])
+        Z = H.product_trapezoid(K, F, dt)
+        assert Z.shape == F.shape
+        for f, z in zip(F, Z):
+            assert np.array_equal(z, H.product_trapezoid(K, f, dt))
+
+    def test_misaligned_batch_rejected(self):
+        with pytest.raises(ValueError, match="aligned"):
+            H.product_trapezoid(np.ones(11), np.ones((2, 10)), 0.1)
+
+
 class TestModeSeries:
     def test_validation(self):
         with pytest.raises(ValueError, match="uniform"):
@@ -134,6 +208,36 @@ class TestHarness:
                                      gammas=[2.0, 4.0], t_values=[10.0], dt=0.05)
         for _, _, ratio in rows:
             assert ratio == pytest.approx(1.0, rel=1e-12)
+
+    def test_matches_one_solve_per_row(self):
+        # the previous harness loop as reference: one solve per (gamma, T), in the
+        # given order; a constant forcing puts the forcing's sup on the last sample
+        ik, prof, dt = H.InteractionKernel.cosine(), H.maxwellian(1.0), 0.05
+        gammas, t_values = [4.0, 2.0], [30.0, 10.0, 30.0]
+        rows = H.lemvolterra_harness(ik, prof, gammas, t_values, dt=dt,
+                                     forcing_family=lambda g: ONES)
+        expected = []
+        for gamma in gammas:
+            for t_final in t_values:
+                sol = H.solve_volterra(lambda t: H.memory_kernel(ik, prof, 1, t), ONES,
+                                       dt=dt, t_final=t_final, mode=1)
+                den = H.weighted_sup(H.ModeSeries(sol.times, {1: ONES(sol.times)}), gamma)
+                expected.append((gamma, t_final, H.weighted_sup(sol, gamma) / den))
+        assert rows == expected
+
+    def test_short_rows_are_prefixes_of_the_long_march(self):
+        ik, prof = H.InteractionKernel.cosine(), H.maxwellian(1.0)
+        both = H.lemvolterra_harness(ik, prof, gammas=[2.0, 5.0], t_values=[50.0, 100.0], dt=0.05)
+        short = H.lemvolterra_harness(ik, prof, gammas=[2.0, 5.0], t_values=[50.0], dt=0.05)
+        assert [r for r in both if r[1] == 50.0] == short
+
+    def test_t_not_multiple_of_dt_refused_before_marching(self, monkeypatch):
+        marches = []
+        monkeypatch.setattr(volterra, "product_trapezoid", lambda *args: marches.append(args))
+        with pytest.raises(ValueError, match="multiple"):
+            H.lemvolterra_harness(H.InteractionKernel.cosine(), H.maxwellian(1.0),
+                                  gammas=[2.0], t_values=[10.0, 10.01], dt=0.02)
+        assert marches == []
 
     def test_unstable_state_refused(self):
         with pytest.raises(ValueError, match="stability"):
