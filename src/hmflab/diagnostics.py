@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import SpectralField, sobolev_norm
-from .profiles import HomogeneousProfile, profile_values, tabulated
+from .profiles import HomogeneousProfile, fourier_sum, profile_values, tabulated
 from .simulate import Trajectory, assemble_rhs
 from .volterra import ModeSeries
 
@@ -230,8 +230,7 @@ def convergence_series(traj: Trajectory, g_inf: SpectralField) -> tuple:
     return traj.snapshot_times[idx], vals
 
 
-def weak_limit_profile(g_inf: SpectralField, prof: HomogeneousProfile, epsilon: float,
-                       v_max: float = 12.0, n_v: int = 961) -> HomogeneousProfile:
+def weak_limit_profile(g_inf: SpectralField, prof: HomogeneousProfile, epsilon: float) -> HomogeneousProfile:
     """
     Corrected homogeneous state: the x-average of the scattering state shifts
     the background,
@@ -239,14 +238,10 @@ def weak_limit_profile(g_inf: SpectralField, prof: HomogeneousProfile, epsilon: 
         etainf_hat(xi) = etahat(xi) + eps * ghat_inf_0(xi),
 
     (the x-average is exactly the n = 0 row under the transform convention).
-    The result is inverse-transformed onto a uniform v grid and returned as a
-    tabulated profile.
+    The result is inverse-transformed onto 961 uniform points of [-12, 12]
+    and returned as a tabulated profile.
     """
     grid = g_inf.grid
-    row0 = g_inf.mode(0)
-    v = np.linspace(-v_max, v_max, n_v)
-    tw = grid.trapz_weights()
-    kernel = np.exp(1j * np.outer(v, grid.xi))
-    correction = (kernel @ (tw * row0)) / (2.0 * np.pi)
-    eta_inf = profile_values(prof, v) + epsilon * correction.real
-    return tabulated(v, eta_inf)
+    v = np.linspace(-12.0, 12.0, 961)
+    correction = fourier_sum(grid.xi, grid.trapz_weights() * g_inf.mode(0), -v) / (2.0 * np.pi)
+    return tabulated(v, profile_values(prof, v) + epsilon * correction.real)

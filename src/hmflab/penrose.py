@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sp_fft
 
-from .profiles import HomogeneousProfile, profile_hat
+from .profiles import HomogeneousProfile, fourier_sum, gauss_panels, profile_hat
 
 __all__ = [
     "InteractionKernel",
@@ -45,10 +45,16 @@ __all__ = [
 
 _KERNEL_TINY = 1e-16  # quadrature truncation threshold on |K|
 _T_CUT_CAP = 400.0
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL16 = np.polynomial.legendre.leggauss(16)
 # |1 - Khat| below which the uniform scan takes the dense sum: the chirp-z
 # roundoff (<= ~1e-12) would turn the direction there by up to 1e-4 rad
 _NEAR_ORIGIN = 1e-8
+_MAX_REFINEMENTS = 48  # angle-halving rounds before a scan is declared too coarse
+# floor on the |Khat| tail threshold when kappa_target / 10 is smaller (as in
+# the pure winding check): any tail with |Khat| < 1 cannot add winding, and
+# 1e-4 only perturbs near-unity minima at the fourth digit
+_TAIL_FLOOR = 1e-4
+_ROOT_TOL = 1e-10  # growth_rate's bisection tolerance on the root
 
 
 @dataclass(frozen=True)
@@ -126,28 +132,21 @@ def _kernel_cutoff(ik: InteractionKernel, prof: HomogeneousProfile, n: int) -> f
 
 def _panel_rule(ik, prof, n, tau_abs_max: float):
     """
-    Composite 16-point Gauss-Legendre rule resolving exp(-i tau t) phases.
-
-    Returns ``nodes`` and ``fw`` (weights times K(n, nodes)) as
-    (n_panels, 16) arrays, panel by Gauss offset, and the cutoff ``t_cut``.
-    The panels are uniform of width t_cut / n_panels, so the nodes are the
-    panel midpoints plus 16 fixed offsets (see :func:`_transform_uniform_scan`).
+    Composite 16-point Gauss-Legendre rule resolving exp(-i tau t) phases for
+    |Re tau| <= tau_abs_max: ``(nodes, fw, t_cut)``, with the nodes and the
+    weights times K(n, nodes) as (n_panels, 16) arrays on uniform panels of
+    [0, t_cut] (see :func:`_transform_uniform_scan`).
     """
     t_cut = _kernel_cutoff(ik, prof, n)
     h = min(0.25, 8.0 / max(tau_abs_max, 1.0))
-    n_panels = max(4, int(np.ceil(t_cut / h)))
-    edges = np.linspace(0.0, t_cut, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * _GL_X
-    fw = (half[:, None] * _GL_W) * memory_kernel(ik, prof, n, nodes.ravel()).reshape(nodes.shape)
-    return nodes, fw, t_cut
+    nodes, w = gauss_panels(0.0, t_cut, max(4, int(np.ceil(t_cut / h))), _GL16)
+    return nodes, w * memory_kernel(ik, prof, n, nodes.ravel()).reshape(nodes.shape), t_cut
 
 
-def _transform_uniform_scan(ik, prof, n, taus: np.ndarray):
+def _transform_uniform_scan(rule, taus: np.ndarray):
     """
-    Khat(n, taus) on a uniform real scan (as from ``np.linspace``) by chirp-z
-    transforms, and the rule's cutoff ``t_cut``.
+    Khat on a uniform real scan (as from ``np.linspace``) by chirp-z
+    transforms over a panel ``rule`` that resolves max|taus|.
 
     Count the rule's panels p and the scan points j from their centres pc and
     jc: the nodes are t_c + p hp + (hp/2) x_g and tau_j = tau_c + j dtau, so
@@ -167,7 +166,7 @@ def _transform_uniform_scan(ik, prof, n, taus: np.ndarray):
     through it), so those points take the dense sum on the same rule and
     carry exactly the dense path's values.
     """
-    nodes, fw, t_cut = _panel_rule(ik, prof, n, float(np.max(np.abs(taus))))
+    nodes, fw, t_cut = rule
     n_panels, n_tau = fw.shape[0], taus.size
     hp = t_cut / n_panels
     a = hp * (taus[-1] - taus[0]) / max(n_tau - 1, 1)
@@ -181,12 +180,12 @@ def _transform_uniform_scan(ik, prof, n, taus: np.ndarray):
     chirp[size - n_panels + 1:] = np.exp(0.5j * a * lags[:n_panels - 1] ** 2)
     x = fw.T * np.exp(-1j * (taus[jc] * hp * p + 0.5 * a * p * p))
     conv = sp_fft.ifft(sp_fft.fft(x, size, axis=-1) * sp_fft.fft(chirp), axis=-1)[:, :n_tau]
-    outer = np.exp(-1j * np.multiply.outer(taus, (pc + 0.5) * hp + (0.5 * hp) * _GL_X))
+    outer = np.exp(-1j * np.multiply.outer(taus, (pc + 0.5) * hp + (0.5 * hp) * _GL16[0]))
     khat = np.add.reduce(outer * (conv * np.exp(-0.5j * a * j * j)).T, axis=1)
     near = np.nonzero(np.abs(1.0 - khat) < _NEAR_ORIGIN)[0]
     if near.size:
-        khat[near] = np.add.reduce(fw.ravel() * np.exp(-1j * taus[near, None] * nodes.ravel()), axis=1)
-    return khat, t_cut
+        khat[near] = fourier_sum(nodes, fw, taus[near])
+    return khat
 
 
 def memory_kernel_transform(ik: InteractionKernel, prof: HomogeneousProfile, n: int, tau):
@@ -204,31 +203,18 @@ def memory_kernel_transform(ik: InteractionKernel, prof: HomogeneousProfile, n: 
         raise ValueError("memory_kernel_transform requires Im tau <= 0")
     if ik.coefficient(n) == 0.0:
         out = np.zeros_like(tt)
-        return out[0] if scalar else out
-    nodes, fw, _ = _panel_rule(ik, prof, n, float(np.max(np.abs(tt.real))) if tt.size else 1.0)
-    nodes, fw = nodes.ravel(), fw.ravel()
-    out = np.empty(tt.shape, dtype=np.complex128)
-    # chunked ufunc reduction keeps memory bounded and summation deterministic
-    chunk = max(1, int(4e6 // max(nodes.size, 1)))
-    for i in range(0, tt.size, chunk):
-        block = tt[i:i + chunk, None]
-        out[i:i + chunk] = np.add.reduce(fw * np.exp(-1j * block * nodes), axis=1)
+    else:
+        nodes, fw, _ = _panel_rule(ik, prof, n, float(np.max(np.abs(tt.real))) if tt.size else 1.0)
+        out = fourier_sum(nodes, fw, tt)
     return out[0] if scalar else out
 
 
 @dataclass(frozen=True)
 class ScanParameters:
-    """Real-axis scan controls for the winding check.
-
-    ``tail_floor`` bounds |Khat| beyond the scan when kappa_target/10 is
-    smaller (e.g. a pure winding check): any tail with |Khat| < 1 cannot add
-    winding, and 1e-4 only perturbs near-unity minima at the fourth digit.
-    """
+    """Real-axis scan controls for the winding check."""
 
     tau_max: float | None = None   # None: auto-extend until the tail is negligible
     n_tau: int = 2001
-    max_refinements: int = 48
-    tail_floor: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -290,40 +276,37 @@ class ScanRefinementError(RuntimeError):
 
 
 def _scan_mode(ik, prof, n, kappa_target, scan: ScanParameters) -> ModeStability:
-    tail_threshold = max(kappa_target / 10.0, scan.tail_floor)
+    tail_threshold = max(kappa_target / 10.0, _TAIL_FLOOR)
 
-    tau_max = scan.tau_max
-    if tau_max is None:
-        tau_max = 16.0
-        for _ in range(16):
-            edge = abs(memory_kernel_transform(ik, prof, n, tau_max))
-            if edge < tail_threshold:
-                break
-            tau_max *= 2.0
-        else:
-            raise ScanRefinementError(f"mode {n}: |Khat| does not decay below {tail_threshold} by tau={tau_max}")
+    # one panel rule per probe of tau_max; the last probe's rule also serves
+    # the scan, its near-origin points and every refinement midpoint
+    probes = [16.0 * 2.0 ** k for k in range(16)] if scan.tau_max is None else [float(scan.tau_max)]
+    for tau_max in probes:
+        nodes, fw, t_cut = rule = _panel_rule(ik, prof, n, tau_max)
+        edge = abs(fourier_sum(nodes, fw, tau_max))
+        if edge < tail_threshold:
+            break
     else:
-        edge = abs(memory_kernel_transform(ik, prof, n, float(tau_max)))
-        if edge >= tail_threshold:
+        if scan.tau_max is None:
             raise ScanRefinementError(
-                f"mode {n}: tau_max={tau_max} too small, |Khat(tau_max)|={edge:.3e} >= {tail_threshold:.1e}")
+                f"mode {n}: |Khat| does not decay below {tail_threshold} by tau={2.0 * tau_max}")
+        raise ScanRefinementError(
+            f"mode {n}: tau_max={scan.tau_max} too small, |Khat(tau_max)|={edge:.3e} >= {tail_threshold:.1e}")
 
     taus = np.linspace(-tau_max, tau_max, scan.n_tau)
-    khat, t_cut = _transform_uniform_scan(ik, prof, n, taus)
-    z = 1.0 - khat
+    z = 1.0 - _transform_uniform_scan(rule, taus)
 
     # refine until every adjacent pair subtends at most pi/2 about the origin
-    for _ in range(scan.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         turns = np.abs(np.angle(z[1:] / z[:-1]))
         bad = np.nonzero(turns > 0.5 * np.pi)[0]
         if bad.size == 0:
             break
         mids = 0.5 * (taus[bad] + taus[bad + 1])
-        zm = 1.0 - memory_kernel_transform(ik, prof, n, mids)
         taus = np.insert(taus, bad + 1, mids)
-        z = np.insert(z, bad + 1, zm)
+        z = np.insert(z, bad + 1, 1.0 - fourier_sum(nodes, fw, mids))
     else:
-        raise ScanRefinementError(f"mode {n}: scan still too coarse after {scan.max_refinements} refinements")
+        raise ScanRefinementError(f"mode {n}: scan still too coarse after {_MAX_REFINEMENTS} refinements")
 
     # close the curve through the point at infinity, where Khat = 0 exactly
     total = float(np.sum(np.angle(z[1:] / z[:-1])))
@@ -362,29 +345,27 @@ def penrose_check(ik: InteractionKernel, prof: HomogeneousProfile,
     return PenroseReport(modes=modes, kappa_target=kappa_target)
 
 
-def critical_parameter(family, lo: float, hi: float, tol: float = 1e-3,
-                       kappa_target: float = 0.0,
-                       scan: ScanParameters | None = None) -> float:
+# critical_parameter's scan: coarse, since the subtended-angle refinement loop
+# is the safety net and a bisection takes many verdicts
+_BISECTION_SCAN = ScanParameters(n_tau=601)
+
+
+def critical_parameter(family, lo: float, hi: float, tol: float = 1e-3) -> float:
     """
     Bisect a one-parameter (kernel, profile) family on the stability verdict.
 
     ``family(theta)`` returns an ``(InteractionKernel, HomogeneousProfile)``
-    pair.  The default ``kappa_target=0`` makes the verdict the pure winding
-    criterion, so the bisection converges to the parameter where a resolvent
-    zero crosses the real axis (a positive target would bias the threshold by
-    an O(kappa_target) margin).  The verdict must differ at the bracket ends.
+    pair.  The verdict is the pure winding criterion (kappa_target 0), so the
+    bisection converges to the parameter where a resolvent zero crosses the
+    real axis (a positive target would bias the threshold by an
+    O(kappa_target) margin).  The verdict must differ at the bracket ends.
     """
     if not hi > lo:
         raise ValueError(f"degenerate bracket [{lo}, {hi}]")
 
-    if scan is None:
-        # coarse initial scan; the subtended-angle refinement loop is the
-        # safety net, so start cheap for the many bisection evaluations
-        scan = ScanParameters(n_tau=601)
-
     def verdict(theta: float) -> bool:
         k, p = family(theta)
-        return penrose_check(k, p, kappa_target=kappa_target, scan=scan).stable
+        return penrose_check(k, p, kappa_target=0.0, scan=_BISECTION_SCAN).stable
 
     v_lo = verdict(lo)
     v_hi = verdict(hi)
@@ -399,8 +380,7 @@ def critical_parameter(family, lo: float, hi: float, tol: float = 1e-3,
     return 0.5 * (lo + hi)
 
 
-def growth_rate(ik: InteractionKernel, prof: HomogeneousProfile, n: int = 1,
-                tol: float = 1e-10) -> float:
+def growth_rate(ik: InteractionKernel, prof: HomogeneousProfile, n: int = 1) -> float:
     """
     Instability rate of an unstable mode from the resolvent root on the
     negative imaginary axis: the lam > 0 solving 1 - Khat(n, -i*lam) = 0.
@@ -409,10 +389,10 @@ def growth_rate(ik: InteractionKernel, prof: HomogeneousProfile, n: int = 1,
     and the unstable root (when present) sits exactly on it; the growing
     field mode behaves like exp(lam * t).
     """
+    nodes, fw, _ = _panel_rule(ik, prof, n, 0.0)
 
     def h(lam: float) -> float:
-        val = memory_kernel_transform(ik, prof, n, -1j * lam)
-        return 1.0 - float(np.real(val))
+        return 1.0 - float(np.real(fourier_sum(nodes, fw, -1j * lam)))
 
     if h(0.0) >= 0.0:
         raise ValueError(f"mode {n} has no root on the negative imaginary axis (1 - Khat(n,0) >= 0)")
@@ -424,7 +404,7 @@ def growth_rate(ik: InteractionKernel, prof: HomogeneousProfile, n: int = 1,
     else:
         raise RuntimeError("failed to bracket the instability rate")
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > _ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if h(mid) > 0.0:
             hi = mid

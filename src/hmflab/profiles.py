@@ -26,6 +26,8 @@ __all__ = [
     "tabulated",
     "profile_hat",
     "profile_values",
+    "gauss_panels",
+    "fourier_sum",
     "synth_initial",
     "load_profile_csv",
     "save_profile_csv",
@@ -98,7 +100,38 @@ def tabulated(v: np.ndarray, eta: np.ndarray, mass: float | None = None) -> Homo
     return prof
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL8 = np.polynomial.legendre.leggauss(8)
+_PAIR_BLOCK = 4e6  # target-node pairs per block of fourier_sum (64 MB of complex)
+
+
+def gauss_panels(a: float, b: float, n_panels: int, rule):
+    """
+    Composite rule on ``n_panels`` uniform panels of [a, b] from a (nodes,
+    weights) ``rule`` on [-1, 1]: nodes and weights as (n_panels, len(nodes))
+    arrays, panel by offset, so the nodes are panel midpoints plus fixed offsets.
+    """
+    x, w = rule
+    edges = np.linspace(a, b, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * x, half[:, None] * w
+
+
+def fourier_sum(nodes, weights, targets):
+    """
+    sum_j weights_j exp(-i tau nodes_j) for every tau in ``targets``, in its shape.
+
+    Each target is one ``np.add.reduce`` over all nodes, in blocks of at most
+    ``_PAIR_BLOCK`` target-node pairs: memory stays bounded, no BLAS call is
+    made, and a value depends neither on its block nor on the thread count.
+    """
+    nodes, weights = np.ravel(nodes), np.ravel(weights)
+    flat = np.reshape(targets, -1)
+    out = np.empty(flat.shape, dtype=np.complex128)
+    chunk = max(1, int(_PAIR_BLOCK // max(nodes.size, 1)))
+    for i in range(0, flat.size, chunk):
+        out[i:i + chunk] = np.add.reduce(weights * np.exp(-1j * flat[i:i + chunk, None] * nodes), axis=1)
+    return out.reshape(np.shape(targets))
 
 
 def _tabulated_rule(prof: HomogeneousProfile, xi_abs_max: float):
@@ -113,16 +146,10 @@ def _tabulated_rule(prof: HomogeneousProfile, xi_abs_max: float):
     if cached is not None and cached[0] >= xi_abs_max:
         return cached[1], cached[2]
     v = prof.v_samples
-    h = v[1] - v[0]
     # subdivide table intervals so each panel sees at most ~4 radians of phase
-    per = max(1, int(np.ceil(xi_abs_max * h / 4.0)))
-    edges = np.linspace(v[0], v[-1], per * (v.size - 1) + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS).ravel()
-    spline = CubicSpline(v, prof.eta_samples)
-    fw = weights * spline(nodes)
+    per = max(1, int(np.ceil(xi_abs_max * (v[1] - v[0]) / 4.0)))
+    nodes, weights = gauss_panels(v[0], v[-1], per * (v.size - 1), _GL8)
+    fw = weights * CubicSpline(v, prof.eta_samples)(nodes)
     object.__setattr__(prof, "_quad_rule", (max(xi_abs_max, 1.0), nodes, fw))
     return nodes, fw
 
@@ -142,8 +169,7 @@ def profile_hat(prof: HomogeneousProfile, xi):
     elif prof.kind == "two_stream":
         out = prof.mass * np.exp(-prof.T * x * x / 2.0) * np.cos(prof.v0 * x)
     else:
-        nodes, fw = _tabulated_rule(prof, float(np.max(np.abs(x))) if x.size else 1.0)
-        out = np.exp(-1j * x[:, None] * nodes[None, :]) @ fw
+        out = fourier_sum(*_tabulated_rule(prof, float(np.max(np.abs(x))) if x.size else 1.0), x)
     return out[0] if scalar else out
 
 

@@ -189,8 +189,7 @@ def weighted_sup(series: ModeSeries, gamma: float) -> float:
 
 
 def lemvolterra_harness(ik: InteractionKernel, prof, gammas, t_values,
-                        dt: float = 0.02, forcing_family=None, mode: int = 1,
-                        kappa_target: float = 1e-2):
+                        dt: float = 0.02, forcing_family=None, mode: int = 1):
     """
     Empirical boundedness table for the weighted solve: for each (gamma, T)
     returns the ratio weighted_sup(solution, gamma) / weighted_sup(forcing,
@@ -201,7 +200,7 @@ def lemvolterra_harness(ik: InteractionKernel, prof, gammas, t_values,
     ``forcing_family(gamma)`` returns a vectorized forcing; the default is
     F(t) = <t>^{-gamma}.
     """
-    report = penrose_check(ik, prof, kappa_target=kappa_target)
+    report = penrose_check(ik, prof)
     if not report.stable:
         raise ValueError("harness refused: state fails the stability check; the bound presumes it")
     if forcing_family is None:

@@ -189,14 +189,16 @@ class TestDeterminism:
     def test_blas_thread_count_does_not_change_csvs(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY)
         src = str(Path(H.__file__).resolve().parents[1])
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-            out = tmp_path / f"blas{threads}"
-            proc = subprocess.run([sys.executable, "-m", "hmflab.cli", "run-sim", cfg_path, "--out", str(out)],
-                                  env=env, capture_output=True, text=True, timeout=600)
-            assert proc.returncode == EXIT_OK, proc.stderr
-            outs.append(out)
-        for name in ("timeseries.csv", "final_state.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        for command, names in (("run-sim", ("timeseries.csv", "final_state.csv")),
+                               ("scatter", ("g_inf.csv", "eta_inf.csv", "timeseries.csv"))):
+            outs = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+                out = tmp_path / f"{command}-blas{threads}"
+                proc = subprocess.run([sys.executable, "-m", "hmflab.cli", command, cfg_path, "--out", str(out)],
+                                      env=env, capture_output=True, text=True, timeout=600)
+                assert proc.returncode == EXIT_OK, proc.stderr
+                outs.append(out)
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (command, name)

@@ -160,6 +160,18 @@ class TestScatteringLimit:
             norms.append(H.sobolev_norm(diff, 1))
         assert norms[0] > norms[1] > norms[2]
 
+    def test_accumulated_state_is_the_final_state_to_second_order(self):
+        # the integrand is dg/dt, so g(0) + int_0^T rhs = g(T): the trapezoid sum
+        # misses the last snapshot by its O(dt^2) error alone
+        gaps = []
+        for dt in (0.04, 0.02):
+            cfg = H.SimConfig(grid=H.make_grid(2, 18.0, 361, 1), kernel=COS, profile=H.maxwellian(1.0),
+                              perturbations=H.Perturbation(mode=1, amplitude=1.0, envelope="algebraic"),
+                              epsilon=0.01, dt=dt, t_final=8.0, record_every=1, s=7, check_stability=False)
+            traj = H.run(cfg)
+            gaps.append(np.max(np.abs(H.scattering_limit(traj).field.values - traj.snapshots[-1].values)))
+        assert 3.6 <= gaps[0] / gaps[1] <= 4.4, gaps
+
     def test_convergence_series_on_log_spaced_snapshots(self, small_run):
         res = H.scattering_limit(small_run)
         times, dist = H.convergence_series(small_run, res.field)

@@ -33,6 +33,37 @@ def test_checker_sees_private_imports(tmp_path):
     assert private_imports(probe) == [(2, "simulate", "_rhs"), (3, "hmflab.grids", "_lagrange_weights")]
 
 
+MATRIX_PRODUCTS = {"dot", "matmul", "tensordot", "inner", "vdot"}
+
+
+def matrix_products(path: Path) -> list:
+    """(line, what) of every `@` and numpy matrix product in a module: BLAS sums in
+    an order that depends on the thread count, so the package sums with ufunc reductions."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif (isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_no_matrix_products():
+    offenders = {p.name: matrix_products(p) for p in sorted(SRC.glob("*.py"))}
+    offenders = {name: hits for name, hits in offenders.items() if hits}
+    assert not offenders, f"matrix products in src/hmflab: {offenders}"
+
+
+def test_checker_sees_matrix_products(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nimport numpy\n@decorator\ndef f(a, b):\n    c = a @ b\n    c @= b\n"
+                     "    return np.dot(a, b) + numpy.matmul(a, b) + np.tensordot(a, b, 1)\n"
+                     "g = [np.inner, np.vdot]\nh = a.dot(b) + np.add.reduce(a * b)\n")
+    assert matrix_products(probe) == [(5, "@"), (6, "@"), (7, "np.dot"), (7, "np.tensordot"),
+                                      (7, "numpy.matmul"), (8, "np.inner"), (8, "np.vdot")]
+
+
 def test_import_leaves_scipy_signal_out():
     # scipy.signal adds ~0.9 s to every process that imports hmflab
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

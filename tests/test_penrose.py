@@ -5,7 +5,7 @@ import pytest
 from scipy.special import wofz
 
 import hmflab as H
-from hmflab import penrose
+from hmflab import penrose, profiles
 
 COS = H.InteractionKernel.cosine()
 ANTI = H.InteractionKernel.anticosine()
@@ -144,7 +144,34 @@ class TestCriticalParameter:
             H.critical_parameter(family, 0.4, 0.4)
 
 
+def bisected_root(ik, prof, n=1, tol=1e-10):
+    """growth_rate as a bisection over memory_kernel_transform, one transform
+    (and one panel rule) per evaluation: the reference for growth_rate."""
+
+    def h(lam):
+        return 1.0 - float(np.real(H.memory_kernel_transform(ik, prof, n, -1j * lam)))
+
+    assert h(0.0) < 0.0
+    hi = 0.25
+    while not h(hi) > 0.0:
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if h(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 class TestGrowthRate:
+    @pytest.mark.parametrize("ik, T, n", [(ANTI, 0.2, 1), (ANTI, 0.4, 1), (ANTI, 0.49, 1),
+                                          (H.InteractionKernel((-0.5, 0.3)), 0.2, 1),
+                                          (H.InteractionKernel((0.0, -0.5)), 0.3, 2)])
+    def test_bitwise_the_bisection_over_the_transform(self, ik, T, n):
+        assert H.growth_rate(ik, H.maxwellian(T), n=n) == bisected_root(ik, H.maxwellian(T), n=n)
+
     def test_matches_independent_quadrature_root(self):
         # frozen from a scipy.integrate.quad + bisection computation of
         # (1/2) int t exp(-0.2 t^2 - lam t) dt = 1
@@ -183,11 +210,39 @@ class TestKernelCutoffCache:
         assert samples.count(2001) == 3
 
 
-def dense_uniform_scan(ik, prof, n, taus):
-    """The initial scan as the dense sum of memory_kernel_transform on the
-    same rule: the reference for the chirp-z scan path."""
-    _, _, t_cut = penrose._panel_rule(ik, prof, n, float(np.max(np.abs(taus))))
-    return H.memory_kernel_transform(ik, prof, n, taus), t_cut
+class TestOneRulePerQuestion:
+    """Rule builds counted as memory_kernel samples other than the 2001-point cutoff sample."""
+
+    @staticmethod
+    def count_rule_samples(monkeypatch):
+        sizes = []
+        kernel = penrose.memory_kernel
+
+        def counting(ik, prof, n, t):
+            sizes.append(np.size(t))
+            return kernel(ik, prof, n, t)
+
+        monkeypatch.setattr(penrose, "memory_kernel", counting)
+        return lambda: sum(size != 2001 for size in sizes)
+
+    def test_one_rule_per_probe_none_for_scan_or_refinements(self, monkeypatch):
+        rules = self.count_rule_samples(monkeypatch)
+        mode = H.penrose_check(ANTI, H.maxwellian(0.49), scan=H.ScanParameters(n_tau=101)).modes[0]
+        assert mode.tau_scan.shape[0] > 101                       # the scan was refined
+        assert mode.tau_scan[-1, 0] == 32.0 and rules() == 2      # probes at 16 and 32
+        mode = H.penrose_check(ANTI, H.maxwellian(0.2), scan=H.ScanParameters(tau_max=40.0, n_tau=101)).modes[0]
+        assert mode.tau_scan.shape[0] > 101 and rules() == 3      # one probe at the given tau_max
+
+    def test_one_rule_per_growth_rate(self, monkeypatch):
+        rules = self.count_rule_samples(monkeypatch)
+        H.growth_rate(ANTI, H.maxwellian(0.4))
+        assert rules() == 1
+
+
+def dense_uniform_scan(rule, taus):
+    """The initial scan as the dense sum on the same panel rule: the
+    reference for the chirp-z scan path."""
+    return profiles.fourier_sum(rule[0], rule[1], taus)
 
 
 class TestUniformScanTransform:
@@ -197,20 +252,22 @@ class TestUniformScanTransform:
     def test_matches_dense_sum_and_closed_form(self, T, n, tau_max, n_tau):
         taus = np.linspace(-tau_max, tau_max, n_tau)
         prof = H.maxwellian(T)
-        got, t_cut = penrose._transform_uniform_scan(TWO, prof, n, taus)
-        dense, dense_t_cut = dense_uniform_scan(TWO, prof, n, taus)
+        rule = penrose._panel_rule(TWO, prof, n, tau_max)
+        got = penrose._transform_uniform_scan(rule, taus)
+        dense = dense_uniform_scan(rule, taus)
         # K(n, t) = -n^2 p_n t exp(-n^2 T t^2 / 2)
         exact = khat_closed_form(n * n * TWO.coefficient(n), n * n * T, taus)
-        assert t_cut == dense_t_cut
+        # the public transform sums the same rule for these taus
+        assert np.array_equal(dense, H.memory_kernel_transform(TWO, prof, n, taus))
         assert np.max(np.abs(got - dense)) < 1e-10
         assert np.max(np.abs(got - exact)) < 1e-10
 
     def test_two_stream(self):
         # etahat = exp(-T xi^2 / 2) cos(v0 xi) shifts the maxwellian transform by +-v0
         taus = np.linspace(-32.0, 32.0, 1201)
-        prof = H.two_stream(0.3, 1.7)
-        got, _ = penrose._transform_uniform_scan(COS, prof, 1, taus)
-        dense, _ = dense_uniform_scan(COS, prof, 1, taus)
+        rule = penrose._panel_rule(COS, H.two_stream(0.3, 1.7), 1, 32.0)
+        got = penrose._transform_uniform_scan(rule, taus)
+        dense = dense_uniform_scan(rule, taus)
         exact = 0.5 * (khat_closed_form(0.5, 0.3, taus - 1.7) + khat_closed_form(0.5, 0.3, taus + 1.7))
         assert np.max(np.abs(got - dense)) < 1e-10
         assert np.max(np.abs(got - exact)) < 1e-10

@@ -1,11 +1,13 @@
 """Homogeneous profiles, their velocity transforms, and initial perturbations."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hmflab as H
+from hmflab import profiles
 
 
 class TestProfileHat:
@@ -66,6 +68,36 @@ class TestProfileHat:
             second = H.tabulated(v, np.exp(-v * v / 8) / np.sqrt(8 * np.pi))
             assert second.mass == pytest.approx(1.0, abs=1e-8)
             assert H.profile_hat(second, 1.0) == pytest.approx(np.exp(-2.0), abs=1e-8)
+
+
+class TestFourierSum:
+    def test_same_bits_whatever_the_block_split(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        nodes, weights = rng.uniform(0, 9, (40, 16)), rng.normal(size=(40, 16)) + 1j * rng.normal(size=(40, 16))
+        targets = np.concatenate([rng.uniform(-30, 30, 37), rng.uniform(-30, 30, 6) - 1j * rng.uniform(0, 2, 6)])
+        whole = profiles.fourier_sum(nodes, weights, targets)
+        for pairs in (1, 640, 3 * 640 + 1, 11 * 640 - 1):       # 1, 1, 3 and 10 targets per block
+            monkeypatch.setattr(profiles, "_PAIR_BLOCK", pairs)
+            assert np.array_equal(profiles.fourier_sum(nodes, weights, targets), whole), pairs
+        # one target at a time, and in the shape of the targets
+        assert np.array_equal([profiles.fourier_sum(nodes, weights, t) for t in targets], whole)
+        assert np.array_equal(profiles.fourier_sum(nodes, weights, targets[:42].reshape(6, 7)).ravel(), whole[:42])
+
+    def test_tabulated_transform_memory_bounded(self):
+        # 961-point table (weak_limit_profile's), 2049 targets: 7680 nodes
+        v = np.linspace(-12.0, 12.0, 961)
+        prof = H.tabulated(v, np.exp(-v * v / 2) / np.sqrt(2 * np.pi))
+        xi = np.linspace(-40.96, 40.96, 2049)
+        tracemalloc.start()
+        try:
+            vals = H.profile_hat(prof, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"      # one dense block: 504 MB
+        # the closed form up to the cubic spline's error at this spacing
+        assert np.max(np.abs(vals - np.exp(-xi * xi / 2))) < 1e-8
+
 
 class TestProfileCsv:
     def test_roundtrip(self, tmp_path):
