@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "HomogeneousProfile",
@@ -145,6 +144,8 @@ def _tabulated_rule(prof: HomogeneousProfile, xi_abs_max: float):
     cached = prof.__dict__.get("_quad_rule")
     if cached is not None and cached[0] >= xi_abs_max:
         return cached[1], cached[2]
+    from scipy.interpolate import CubicSpline    # tabulated profiles only: ~0.3 s to import
+
     v = prof.v_samples
     # subdivide table intervals so each panel sees at most ~4 radians of phase
     per = max(1, int(np.ceil(xi_abs_max * (v[1] - v[0]) / 4.0)))
@@ -183,6 +184,8 @@ def profile_values(prof: HomogeneousProfile, v):
         g = lambda u: np.exp(-u * u / (2.0 * prof.T)) / np.sqrt(2.0 * np.pi * prof.T)
         out = prof.mass * 0.5 * (g(x - prof.v0) + g(x + prof.v0))
     else:
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(prof.v_samples, prof.eta_samples)
         out = np.where((x >= prof.v_samples[0]) & (x <= prof.v_samples[-1]), spline(x), 0.0)
     return out[0] if scalar else out

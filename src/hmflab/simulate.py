@@ -20,11 +20,12 @@ step would drop it to order 1).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import PhaseGrid, SpectralField, interp_point, norm_ladder, shift_rows, symmetrized_values
+from .grids import (PhaseGrid, SpectralField, interp_point, make_grid, norm_ladder, shift_rows,
+                    symmetrized_values)
 from .penrose import InteractionKernel, PenroseReport, penrose_check
 from .profiles import HomogeneousProfile, Perturbation, profile_hat, synth_initial
 from .volterra import ModeSeries
@@ -163,7 +164,35 @@ def extract_field_modes(state: SpectralField | np.ndarray, t: float, kernel: Int
     return out
 
 
-def _rhs(values: np.ndarray, t: float, cfg: SimConfig, out: np.ndarray | None = None) -> np.ndarray:
+class _Background:
+    """
+    The background factor etahat(xi - n t) of the rhs, one ``profile_hat`` call
+    per (|n|, t) at the exact float t.
+
+    Only the rows of the latest stage time are held: k2 and k3 share t + dt/2,
+    and k4's t + dt serves the next step's k1 whenever it equals that step's
+    time bitwise.  Row -n is conj(row n) reversed: xi is bitwise antisymmetric,
+    and etahat(-x) = conj(etahat(x)) bitwise for a real profile.
+    """
+
+    def __init__(self, cfg: SimConfig):
+        self.profile = cfg.profile
+        self.xi = cfg.grid.xi
+        self.t = None
+        self.rows = {}
+
+    def __call__(self, n: int, t: float) -> np.ndarray:
+        if t != self.t:
+            self.t, self.rows = t, {}
+        m = abs(n)
+        hat = self.rows.get(m)
+        if hat is None:
+            hat = self.rows[m] = profile_hat(self.profile, self.xi - m * t)
+        return hat if n >= 0 else np.conj(hat)[::-1]
+
+
+def _rhs(values: np.ndarray, t: float, cfg: SimConfig, background: _Background,
+         out: np.ndarray | None = None) -> np.ndarray:
     """The module equation's right-hand side, written into ``out`` when given
     (a complex buffer of the grid's shape that does not alias ``values``)."""
     grid = cfg.grid
@@ -184,16 +213,17 @@ def _rhs(values: np.ndarray, t: float, cfg: SimConfig, out: np.ndarray | None = 
         out *= cfg.epsilon * (xi - grid.modes[:, None] * t)
     for n, zn in modes.items():
         base = xi - n * t
-        out[grid.row(n)] += (-n * kernel.coefficient(n) * zn) * base * profile_hat(cfg.profile, base)
+        out[grid.row(n)] += (-n * kernel.coefficient(n) * zn) * base * background(n, t)
     return out
 
 
 def assemble_rhs(state: SpectralField, t: float, cfg: SimConfig) -> SpectralField:
     """Time derivative of the state at time t (see the module equation)."""
-    return SpectralField(cfg.grid, _rhs(state.values, t, cfg), state.real_valued)
+    return SpectralField(cfg.grid, _rhs(state.values, t, cfg, _Background(cfg)), state.real_valued)
 
 
-def _step_values(values: np.ndarray, t: float, cfg: SimConfig, buf: np.ndarray) -> np.ndarray:
+def _step_values(values: np.ndarray, t: float, cfg: SimConfig, background: _Background,
+                 buf: np.ndarray) -> np.ndarray:
     """
     One RK4 step from ``values`` at t, returned in ``buf[0]``.
 
@@ -205,15 +235,15 @@ def _step_values(values: np.ndarray, t: float, cfg: SimConfig, buf: np.ndarray) 
     """
     dt = cfg.dt
     acc, k, stage = buf
-    k1 = _rhs(values, t, cfg, out=acc)
+    k1 = _rhs(values, t, cfg, background, out=acc)
     np.add(values, np.multiply(0.5 * dt, k1, out=stage), out=stage)
-    k2 = _rhs(stage, t + 0.5 * dt, cfg, out=k)
+    k2 = _rhs(stage, t + 0.5 * dt, cfg, background, out=k)
     np.add(values, np.multiply(0.5 * dt, k2, out=stage), out=stage)
     np.add(k1, np.multiply(2.0, k2, out=k2), out=acc)
-    k3 = _rhs(stage, t + 0.5 * dt, cfg, out=k)
+    k3 = _rhs(stage, t + 0.5 * dt, cfg, background, out=k)
     np.add(values, np.multiply(dt, k3, out=stage), out=stage)
     np.add(acc, np.multiply(2.0, k3, out=k3), out=acc)
-    k4 = _rhs(stage, t + dt, cfg, out=k)
+    k4 = _rhs(stage, t + dt, cfg, background, out=k)
     np.add(acc, k4, out=acc)
     np.multiply(dt / 6.0, acc, out=acc)
     return np.add(values, acc, out=acc)
@@ -225,7 +255,8 @@ def step(state: SpectralField, t: float, cfg: SimConfig) -> SpectralField:
     averaging paired entries for real-valued states.  Aborts on non-finite
     values (blow-up or configuration bug).
     """
-    out = _step_values(state.values, t, cfg, np.empty((3,) + cfg.grid.shape, dtype=np.complex128))
+    out = _step_values(state.values, t, cfg, _Background(cfg),
+                       np.empty((3,) + cfg.grid.shape, dtype=np.complex128))
     if state.real_valued:
         out = symmetrized_values(out)
     if not np.all(np.isfinite(out)):
@@ -280,6 +311,10 @@ def run(cfg: SimConfig) -> Trajectory:
     the Sobolev ladder H^0..H^s, the reality-symmetry defect, and snapshots
     every ``record_every`` steps.  An unstable background only warns: runs
     beyond the stability region are how the instability is exhibited.
+
+    A linear run (eps = 0) marches only the rows it can reach (see "Linear
+    runs: the reachable band" in docs/conventions.md); its snapshots are on
+    the configured grid, with every other row exactly zero.
     """
     cfg.validate()
     stability = None
@@ -289,9 +324,21 @@ def run(cfg: SimConfig) -> Trajectory:
             warnings.warn("background state fails the stability check; continuing (instability study)",
                           RuntimeWarning, stacklevel=2)
 
-    grid = cfg.grid
+    # at eps = 0 each row n is forced by z_n alone, so a row that is neither
+    # an active kernel mode nor perturbed stays zero; rows beyond the largest
+    # such |n| = r are left out of the march (with eps > 0, r = n_max)
+    configured = cfg.grid
+    r = configured.n_max
+    if cfg.epsilon == 0.0:
+        r = max([1, *cfg.kernel.active_modes(), *(abs(p.mode) for p in cfg.perturbations)])
+    grid = make_grid(r, configured.xi_max, configured.n_xi, configured.m0)
+    band = replace(cfg, grid=grid)
+    band_rows = slice(configured.row(-r), configured.row(r) + 1)
+    full = np.zeros(configured.shape, dtype=np.complex128)
+
     state = synth_initial(cfg.perturbations, grid).values.copy()
-    monitors = _Monitors(cfg)
+    monitors = _Monitors(band)
+    background = _Background(band)
     n_steps = cfg.n_steps
     times = np.arange(n_steps + 1) * cfg.dt
 
@@ -311,7 +358,8 @@ def run(cfg: SimConfig) -> Trajectory:
         mass[i], l2[i], ladder[i] = monitors.sample(values)
         defects[i] = defect
         if i % cfg.record_every == 0 or i == n_steps:
-            snapshots.append(SpectralField(grid, values, real_valued=True))
+            full[band_rows] = values
+            snapshots.append(SpectralField(configured, full, real_valued=True))
             snapshot_times.append(t)
 
     # the step and the drift check write into these buffers and the state is
@@ -321,7 +369,7 @@ def run(cfg: SimConfig) -> Trajectory:
     defect = np.empty(grid.shape)
     record(0, 0.0, state, 0.0)
     for i in range(1, n_steps + 1):
-        raw = _step_values(state, times[i - 1], cfg, buf)
+        raw = _step_values(state, times[i - 1], band, background, buf)
         if not np.isfinite(raw, out=finite).all():
             raise NonFiniteState(f"non-finite state at t={times[i]:.6g} (step {i}); aborting run")
         # per-step symmetry drift, measured before the averaging re-enforces it

@@ -1,5 +1,7 @@
 """Gliding-frame spectral integrator: mode extraction, right-hand side, stepping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -194,11 +196,13 @@ class TestRun:
         assert np.max(np.abs(np.imag(got))) == 0.0  # real output for symmetric modes
 
 
-def reference_run(cfg):
+def reference_run(cfg, rhs=None):
     """run()'s states, symmetry drifts and L2 norms as the plain-expression
-    RK4 loop gave them, one fresh array per operation."""
+    RK4 loop gave them on the configured grid, one fresh array per operation
+    (``rhs(values, t)`` defaults to ``assemble_rhs``)."""
     grid = cfg.grid
-    rhs = lambda v, t: H.assemble_rhs(H.SpectralField(grid, v, real_valued=False), t, cfg).values
+    if rhs is None:
+        rhs = lambda v, t: H.assemble_rhs(H.SpectralField(grid, v, real_valued=False), t, cfg).values
     times = np.arange(cfg.n_steps + 1) * cfg.dt
     dt = cfg.dt
     tw = grid.trapz_weights()
@@ -226,27 +230,59 @@ def reference_run(cfg):
     return states, np.array(drifts), np.array(l2)
 
 
+def buffer_case(case):
+    """(config, reachable band r) of one ``test_bitwise_equal_to_plain_loop`` case."""
+    if case == "cosine":
+        return small_config(epsilon=0.05, t_final=3.0, dt=0.05, record_every=1), 2
+    if case == "linear_cosine":
+        return small_config(n_max=4, t_final=3.0, dt=0.05, record_every=1), 1
+    if case == "linear_full":
+        return small_config(n_max=1, t_final=3.0, dt=0.05, record_every=1), 1
+    m2 = H.InteractionKernel((0.5, 0.25))
+    if case == "linear_mode3":
+        grid = H.make_grid(4, 16.0, 321, 1)
+        return H.SimConfig(grid=grid, kernel=COS, profile=H.maxwellian(1.0),
+                           perturbations=(H.Perturbation(mode=1, amplitude=1.0),
+                                          H.Perturbation(mode=3, amplitude=0.5, envelope="algebraic")),
+                           epsilon=0.0, dt=0.05, t_final=3.0, record_every=1, s=7,
+                           check_stability=False), 3
+    if case == "linear_two_mode_m0_2":
+        grid = H.make_grid(4, 16.0, 321, 2)
+        return H.SimConfig(grid=grid, kernel=m2, profile=H.maxwellian(1.0),
+                           perturbations=H.Perturbation(mode=1, amplitude=1.0),
+                           epsilon=0.0, dt=0.05, t_final=3.0, record_every=1, s=10,
+                           check_stability=False), 2
+    grid = H.make_grid(3, 16.0, 321, 1)
+    return H.SimConfig(grid=grid, kernel=m2, profile=H.maxwellian(1.0),
+                       perturbations=(H.Perturbation(mode=1, amplitude=1.0),
+                                      H.Perturbation(mode=2, amplitude=0.5)),
+                       epsilon=0.05, dt=0.05, t_final=3.0, record_every=1, s=10,
+                       check_stability=False), 3
+
+
 class TestRunBuffers:
-    @pytest.mark.parametrize("kernel", ["cosine", "two_mode"])
-    def test_bitwise_equal_to_plain_loop(self, kernel):
-        if kernel == "cosine":
-            cfg = small_config(epsilon=0.05, t_final=3.0, dt=0.05, record_every=1)
-        else:
-            grid = H.make_grid(3, 16.0, 321, 1)
-            cfg = H.SimConfig(grid=grid, kernel=H.InteractionKernel((0.5, 0.25)),
-                              profile=H.maxwellian(1.0),
-                              perturbations=(H.Perturbation(mode=1, amplitude=1.0),
-                                             H.Perturbation(mode=2, amplitude=0.5)),
-                              epsilon=0.05, dt=0.05, t_final=3.0, record_every=1, s=10,
-                              check_stability=False)
+    @pytest.mark.parametrize("case", ["cosine", "two_mode", "linear_cosine", "linear_mode3",
+                                      "linear_two_mode_m0_2", "linear_full"])
+    def test_bitwise_equal_to_plain_loop(self, case):
+        cfg, r = buffer_case(case)
         traj = H.run(cfg)
         states, drifts, l2 = reference_run(cfg)
+        assert traj.config is cfg
         assert len(traj.snapshots) == len(states)
+        outside = np.abs(cfg.grid.modes) > r
         for i, (snap, ref) in enumerate(zip(traj.snapshots, states)):
+            assert snap.grid == cfg.grid
             assert np.array_equal(snap.values, ref), f"step {i}"
+            assert np.all(snap.values[outside] == 0.0), f"step {i}"
             ladder = H.norm_ladder(H.SpectralField(cfg.grid, ref, real_valued=False), cfg.s)
-            assert np.array_equal(traj.norm_history[i], ladder), f"step {i}"
+            if r == cfg.grid.n_max:
+                assert np.array_equal(traj.norm_history[i], ladder), f"step {i}"
+            else:
+                # the zero rows left out regroup the ladder's final sum
+                assert np.max(np.abs(traj.norm_history[i] - ladder) / ladder) <= 1e-15, f"step {i}"
         assert np.array_equal(traj.reality_series, drifts)
+        assert np.array_equal(traj.mass_series, [ref[cfg.grid.row(0), (cfg.grid.n_xi - 1) // 2]
+                                                 for ref in states])
         # |f|^2 as re^2 + im^2 and eps^2 factored out: L2 moves at roundoff only
         assert np.max(np.abs(traj.l2_series - l2) / l2) <= 1e-14
 
@@ -257,6 +293,90 @@ class TestRunBuffers:
         background = np.sqrt(np.sum(np.abs(H.profile_hat(cfg.profile, cfg.grid.xi)) ** 2 * tw))
         assert np.all(traj.l2_series == traj.l2_series[0])
         assert traj.l2_series[0] == pytest.approx(background, rel=1e-14)
+
+
+def tabulated_maxwellian():
+    v = np.linspace(-8.0, 8.0, 161)
+    return H.tabulated(v, np.exp(-v * v / 2.0) / np.sqrt(2.0 * np.pi))
+
+
+PROFILES = {"maxwellian": lambda: H.maxwellian(1.0), "two_stream": lambda: H.two_stream(0.5, 1.5),
+            "tabulated": tabulated_maxwellian}
+
+
+def memo_free_rhs(cfg):
+    """The rhs with one profile_hat call per row and stage time: assemble_rhs
+    at a massless copy of the background gives the coupling term alone (its
+    forcing rows add zeros), and each forcing row is added as run() adds it."""
+    prof = cfg.profile
+    if prof.kind == "tabulated":
+        massless = H.tabulated(prof.v_samples, 0.0 * prof.eta_samples)
+    else:
+        massless = replace(prof, mass=0.0)
+    coupling = replace(cfg, profile=massless)
+    grid, kernel = cfg.grid, cfg.kernel
+
+    def rhs(values, t):
+        out = H.assemble_rhs(H.SpectralField(grid, values, real_valued=False), t, coupling).values.copy()
+        for n, zn in H.extract_field_modes(values, t, kernel, grid).items():
+            base = grid.xi - n * t
+            out[grid.row(n)] += (-n * kernel.coefficient(n) * zn) * base * H.profile_hat(prof, base)
+        return out
+
+    return rhs
+
+
+class TestBackgroundMemo:
+    @pytest.mark.parametrize("kernel", [(0.5,), (0.5, 0.25)], ids=["cosine", "two_mode"])
+    def test_one_transform_per_mode_and_stage_time(self, kernel, monkeypatch):
+        calls = []
+
+        def counted(prof, xi):
+            calls.append(np.size(xi))
+            return H.profile_hat(prof, xi)
+
+        monkeypatch.setattr(H.simulate, "profile_hat", counted)
+        grid = H.make_grid(2, 12.0, 241, 1)
+        cfg = H.SimConfig(grid=grid, kernel=H.InteractionKernel(kernel), profile=H.maxwellian(1.0),
+                          perturbations=H.Perturbation(mode=1), epsilon=0.05, dt=0.05, t_final=3.0,
+                          record_every=10 ** 9, s=10, check_stability=False)
+        H.run(cfg)
+        n = cfg.n_steps
+        times = np.arange(n + 1) * cfg.dt
+        # k4's t + dt is the next k1's time only where it equals times[i] bitwise
+        misses = sum(times[i - 1] + cfg.dt != times[i] for i in range(1, n + 1))
+        assert 0 < misses < n
+        m = len(cfg.kernel.active_modes())
+        # one for the monitors, then per positive mode: k1 at t = 0, two stage
+        # times a step and one per miss (without the memo, 8 a step per mode)
+        assert len(calls) == 1 + m * (1 + 2 * n + misses)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_run_bitwise_equal_to_memo_free_rhs(self, profile, epsilon):
+        grid = H.make_grid(2, 6.0, 121, 1)
+        cfg = H.SimConfig(grid=grid, kernel=H.InteractionKernel((0.5, 0.25)), profile=PROFILES[profile](),
+                          perturbations=H.Perturbation(mode=1), epsilon=epsilon, dt=0.05, t_final=0.5,
+                          record_every=1, s=10, check_stability=False)
+        traj = H.run(cfg)
+        states, drifts, _ = reference_run(cfg, memo_free_rhs(cfg))
+        for i, (snap, ref) in enumerate(zip(traj.snapshots, states)):
+            assert np.array_equal(snap.values, ref), f"step {i}"
+        assert np.array_equal(traj.reality_series, drifts)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_assemble_rhs_bitwise_equal_to_memo_free_rhs(self, profile, epsilon):
+        grid = H.make_grid(3, 12.0, 241, 1)
+        cfg = H.SimConfig(grid=grid, kernel=H.InteractionKernel((0.5, 0.25)), profile=PROFILES[profile](),
+                          perturbations=H.Perturbation(mode=1), epsilon=epsilon, dt=0.05, t_final=2.0,
+                          s=10, check_stability=False)
+        rng = np.random.default_rng(3)
+        state = H.SpectralField(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)).symmetrized()
+        reference = memo_free_rhs(cfg)
+        for t in (0.0, 0.05, 0.37, 1.0, 2.5):
+            got = H.assemble_rhs(state, t, cfg).values
+            assert np.array_equal(got, reference(state.values, t)), f"t={t}"
 
 
 class TestConfigValidation:
