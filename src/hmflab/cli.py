@@ -1,12 +1,14 @@
 """
 Command-line interface: config parsing, experiment presets, artifact output.
 
-Exit-code contract (stable, for CI consumption):
+Exit-code contract (stable, for CI consumption; _FAILURES maps errors to 2 and 3):
     0  success / all assertions passed
     1  a preset assertion failed
-    2  usage error (bad JSON, unknown key, unknown preset)
+    2  usage error: bad JSON, an unknown key or preset, a value of the wrong type,
+       or a value the library rejects while the config is built
     3  configuration invariant violation (message includes the corrected bound),
-       a Penrose scan that cannot certify its winding, or a non-finite state
+       any other ValueError of a subcommand, a Penrose scan that cannot certify
+       its winding, or a non-finite state
 
 All artifacts are CSV (series) or JSON (reports) with 17-significant-digit
 floats, so identical configs reproduce byte-identical outputs, also under
@@ -22,6 +24,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .diagnostics import (conservation_drifts, convergence_series, decay_fit, q_
 from .grids import make_grid, write_field_csv, write_series_csv
 from .penrose import (InteractionKernel, ScanParameters, ScanRefinementError, critical_parameter, growth_rate,
                       memory_kernel, penrose_check)
-from .profiles import HomogeneousProfile, Perturbation, load_profile_csv, maxwellian, save_profile_csv, two_stream
+from .profiles import Perturbation, load_profile_csv, maxwellian, save_profile_csv, two_stream
 from .simulate import InvariantViolation, NonFiniteState, SimConfig, run
 from .volterra import lemvolterra_harness, solve_volterra
 
@@ -46,88 +49,82 @@ class ConfigError(ValueError):
     """Schema-level config problem (maps to exit code 2)."""
 
 
-_TOP_KEYS = {"n_max", "xi_max", "n_xi", "m0", "kernel", "profile", "perturbation",
-             "epsilon", "dt", "t_final", "record_every", "s", "bench", "penrose"}
-_KERNEL_KEYS = {"M", "p"}
-_PROFILE_KEYS = {"kind", "T", "v0", "path", "mass"}
-_PERT_KEYS = {"mode", "envelope", "s_tail", "amplitude"}
-_BENCH_KEYS = {"gammas", "t_list", "dt", "mode"}
-_PENROSE_KEYS = {"kappa_target", "tau_max", "n_tau"}
-
-_DEFAULTS = {
-    "n_max": 1, "xi_max": 25.0, "n_xi": 501, "m0": 1,
-    "epsilon": 0.01, "dt": 0.05, "t_final": 20.0, "record_every": 1, "s": 7,
+# The config schema: per section, each key's type and default (... where the document must give
+# the key, None where it may also be null).  An int takes integral numbers only, a float any number,
+# neither a bool; a Path names an existing file.  Defaults pass through the same conversion; absent
+# bench and penrose sections stay absent from parse_config's extras.
+_SCHEMA = {
+    "config": {"n_max": (int, 1), "xi_max": (float, 25.0), "n_xi": (int, 501), "m0": (int, 1),
+               "epsilon": (float, 0.01), "dt": (float, 0.05), "t_final": (float, 20.0),
+               "record_every": (int, 1), "s": (int, 7),
+               "kernel": (dict, {"p": [0.5]}), "profile": (dict, {}), "perturbation": (list[dict], [{"mode": 1}]),
+               "bench": (dict, None), "penrose": (dict, None)},
+    "kernel": {"p": (list[float], ...), "M": (int, None)},
+    "profile": {"kind": (str, "maxwellian"), "T": (float, 1.0), "v0": (float, ...), "mass": (float, 1.0),
+                "path": (Path, ...)},
+    "perturbation": {"envelope": (str, "gaussian"), "mode": (int, ...), "amplitude": (float, 1.0),
+                     "s_tail": (float, 7.0)},
+    "bench": {"gammas": (list[float], [2.0, 3.0, 4.0, 5.0, 6.0]), "t_list": (list[float], [25.0, 50.0, 100.0]),
+              "dt": (float, 0.02), "mode": (int, 1)},
+    "penrose": {"kappa_target": (float, 1e-2), "tau_max": (float, None), "n_tau": (int, 2001)},
 }
+# the keys that each profile kind and each perturbation envelope takes, beside the one that selects it
+_VARIANTS = {
+    "profile": ("kind", {"maxwellian": ("T", "mass"), "two_stream": ("T", "v0", "mass"), "tabulated": ("path",)}),
+    "perturbation": ("envelope", {"gaussian": ("mode", "amplitude"), "algebraic": ("mode", "amplitude", "s_tail")}),
+}
+_PROFILES = {"maxwellian": maxwellian, "two_stream": two_stream, "tabulated": load_profile_csv}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", Path: "the name of an existing file",
+               dict: "a JSON object", list[float]: "a list of numbers", list[dict]: "a JSON object or a list of them"}
 
 
-def _check_keys(doc: dict, allowed: set, where: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+def _convert(value, kind, key: str):
+    """``value`` as ``kind`` (see _SCHEMA), or ConfigError naming ``key``."""
+    if get_origin(kind) is list:
+        items = [value] if kind == list[dict] and isinstance(value, dict) else value   # one object, or a list
+        if isinstance(items, list):
+            return [_convert(v, get_args(kind)[0], key) for v in items]
+    elif kind in (int, float):
+        if type(value) in (int, float) and (kind is float or type(value) is int or value.is_integer()):
+            return kind(value)
+    elif kind is Path:
+        if isinstance(value, str) and Path(value).is_file():
+            return value
+    elif isinstance(value, kind):
+        return value
+    raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
 
 
-def _parse_kernel(doc) -> InteractionKernel:
-    if doc is None:
-        return InteractionKernel.cosine()
-    _check_keys(doc, _KERNEL_KEYS, "kernel")
-    p = doc.get("p")
-    if p is None:
-        raise ConfigError("kernel requires the coefficient list 'p'")
-    m = doc.get("M", len(p))
-    if m != len(p):
-        raise ConfigError(f"kernel M={m} does not match len(p)={len(p)}")
-    try:
-        return InteractionKernel(tuple(float(x) for x in p))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad kernel coefficients: {exc}") from exc
-
-
-def _parse_profile(doc) -> HomogeneousProfile:
-    if doc is None:
-        return maxwellian(1.0)
-    _check_keys(doc, _PROFILE_KEYS, "profile")
-    kind = doc.get("kind", "maxwellian")
-    mass = float(doc.get("mass", 1.0))
-    if kind == "maxwellian":
-        return maxwellian(float(doc.get("T", 1.0)), mass=mass)
-    if kind == "two_stream":
-        if "v0" not in doc:
-            raise ConfigError("two_stream profile requires 'v0'")
-        return two_stream(float(doc.get("T", 1.0)), float(doc["v0"]), mass=mass)
-    if kind == "tabulated":
-        if "path" not in doc:
-            raise ConfigError("tabulated profile requires 'path'")
-        return load_profile_csv(doc["path"])
-    raise ConfigError(f"unknown profile kind {kind!r}")
-
-
-def _parse_perturbation(doc) -> tuple:
-    if doc is None:
-        doc = {"mode": 1}
-    items = doc if isinstance(doc, list) else [doc]
-    out = []
-    for item in items:
-        _check_keys(item, _PERT_KEYS, "perturbation")
-        if "mode" not in item:
-            raise ConfigError("perturbation requires 'mode'")
-        try:
-            out.append(Perturbation(mode=int(item["mode"]),
-                                    amplitude=float(item.get("amplitude", 1.0)),
-                                    envelope=item.get("envelope", "gaussian"),
-                                    tail_exponent=float(item.get("s_tail", 7.0))))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return tuple(out)
+def _section(doc: dict, name: str) -> dict:
+    """Every key of section ``name``: converted from ``doc``, or its default where absent."""
+    keys, where = _SCHEMA[name], name
+    if name in _VARIANTS:
+        tag, variants = _VARIANTS[name]
+        choice = _convert(doc.get(tag, keys[tag][1]), str, f"{name}.{tag}")
+        if choice not in variants:
+            raise ConfigError(f"unknown {name} {tag} {choice!r}")
+        keys, where = {key: keys[key] for key in (tag, *variants[choice])}, f"{choice} {name}"
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+    out = {}
+    for key, (kind, default) in keys.items():
+        value = doc.get(key, default)
+        if value is ...:
+            raise ConfigError(f"{where} requires {key!r}")
+        label = key if name == "config" else f"{name}.{key}"
+        out[key] = None if value is None and default is None else _convert(value, kind, label)
+    return out
 
 
 def parse_config(path) -> tuple[SimConfig, dict]:
     """
-    Parse and validate a JSON config, failing fast.
+    Parse and validate a JSON config against _SCHEMA, failing fast.
 
-    Returns (SimConfig, extras) where extras carries the optional "bench"
-    and "penrose" sections.  Schema violations raise ConfigError (exit 2);
-    invariant violations raise InvariantViolation (exit 3) with the
-    corrected minimum in the message.
+    Returns (SimConfig, extras); extras holds the "bench" and "penrose" sections
+    the document gives, converted and defaulted.  Schema violations and values
+    the library objects reject raise ConfigError (exit 2); invariant violations
+    raise InvariantViolation (exit 3) with the corrected minimum in the message.
     """
     p = Path(path)
     if not p.is_file():
@@ -136,40 +133,23 @@ def parse_config(path) -> tuple[SimConfig, dict]:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "config")
-
-    merged = dict(_DEFAULTS)
-    for key in _DEFAULTS:
-        if key in doc:
-            merged[key] = doc[key]
+    top = _section(_convert(doc, dict, "config"), "config")
+    kernel, profile = _section(top["kernel"], "kernel"), _section(top["profile"], "profile")
+    if kernel["M"] not in (None, len(kernel["p"])):
+        raise ConfigError(f"kernel M={kernel['M']} does not match len(p)={len(kernel['p'])}")
+    perts = [_section(item, "perturbation") for item in top["perturbation"]]
+    extras = {name: _section(top[name], name) for name in ("bench", "penrose") if top[name] is not None}
     try:
-        grid = make_grid(int(merged["n_max"]), float(merged["xi_max"]),
-                         int(merged["n_xi"]), int(merged["m0"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    cfg = SimConfig(
-        grid=grid,
-        kernel=_parse_kernel(doc.get("kernel")),
-        profile=_parse_profile(doc.get("profile")),
-        perturbations=_parse_perturbation(doc.get("perturbation")),
-        epsilon=float(merged["epsilon"]),
-        dt=float(merged["dt"]),
-        t_final=float(merged["t_final"]),
-        record_every=int(merged["record_every"]),
-        s=int(merged["s"]),
-    )
+        cfg = SimConfig(grid=make_grid(top["n_max"], top["xi_max"], top["n_xi"], top["m0"]),
+                        kernel=InteractionKernel(tuple(kernel["p"])),
+                        profile=_PROFILES[profile.pop("kind")](**profile),
+                        perturbations=tuple(Perturbation(tail_exponent=q.pop("s_tail", Perturbation.tail_exponent),
+                                                         **q) for q in perts),
+                        epsilon=top["epsilon"], dt=top["dt"], t_final=top["t_final"],
+                        record_every=top["record_every"], s=top["s"])
+    except (ValueError, OSError) as exc:
+        raise ConfigError(" ".join(str(exc).split())) from exc
     cfg.validate()
-
-    extras = {}
-    if "bench" in doc:
-        _check_keys(doc["bench"], _BENCH_KEYS, "bench")
-        extras["bench"] = doc["bench"]
-    if "penrose" in doc:
-        _check_keys(doc["penrose"], _PENROSE_KEYS, "penrose")
-        extras["penrose"] = doc["penrose"]
     return cfg, extras
 
 
@@ -220,10 +200,9 @@ def cmd_run_sim(config_path, out: str | None) -> int:
 
 def cmd_penrose_check(config_path, out: str | None) -> int:
     cfg, extras = parse_config(config_path)
-    opts = extras.get("penrose", {})
-    scan = ScanParameters(tau_max=opts.get("tau_max"), n_tau=int(opts.get("n_tau", 2001)))
-    report = penrose_check(cfg.kernel, cfg.profile,
-                           kappa_target=float(opts.get("kappa_target", 1e-2)), scan=scan)
+    opts = extras.get("penrose") or _section({}, "penrose")
+    report = penrose_check(cfg.kernel, cfg.profile, kappa_target=opts["kappa_target"],
+                           scan=ScanParameters(tau_max=opts["tau_max"], n_tau=opts["n_tau"]))
     d = _out_dir(out, "penrose")
     _save_json(d / "penrose_report.json", report.to_json_dict())
     verdict = "stable" if report.stable else "UNSTABLE"
@@ -233,16 +212,11 @@ def cmd_penrose_check(config_path, out: str | None) -> int:
 
 def cmd_volterra_bench(config_path, out: str | None) -> int:
     cfg, extras = parse_config(config_path)
-    opts = extras.get("bench", {})
-    gammas = [float(g) for g in opts.get("gammas", [2, 3, 4, 5, 6])]
-    t_list = [float(t) for t in opts.get("t_list", [25.0, 50.0, 100.0])]
-    rows = lemvolterra_harness(cfg.kernel, cfg.profile, gammas, t_list,
-                               dt=float(opts.get("dt", 0.02)), mode=int(opts.get("mode", 1)))
+    opts = extras.get("bench") or _section({}, "bench")
+    rows = lemvolterra_harness(cfg.kernel, cfg.profile, opts["gammas"], opts["t_list"], dt=opts["dt"],
+                               mode=opts["mode"])
     d = _out_dir(out, "volterra")
-    with open(d / "volterra_bench.csv", "w") as fh:
-        fh.write("gamma,T,ratio\n")
-        for g, t, r in rows:
-            fh.write(f"{g:.17g},{t:.17g},{r:.17g}\n")
+    write_series_csv(d / "volterra_bench.csv", "gamma,T,ratio", zip(*rows))
     print(f"volterra-bench: {len(rows)} rows in {d}")
     return EXIT_OK
 
@@ -521,12 +495,9 @@ def run_preset(name: str, out: str | None = None) -> int:
     d = _out_dir(out, f"preset_{name.replace('-', '_')}")
     results: list = []
     _PRESETS[name](d, results)
-    failed = 0
     for check_name, passed, detail in results:
-        tag = "PASS" if passed else "FAIL"
-        if not passed:
-            failed += 1
-        print(f"[{tag}] {name}: {check_name}: {detail}")
+        print(f"[{'PASS' if passed else 'FAIL'}] {name}: {check_name}: {detail}")
+    failed = sum(not passed for _, passed, _ in results)
     print(f"preset {name}: {len(results) - failed}/{len(results)} assertions passed; artifacts in {d}")
     return EXIT_OK if failed == 0 else EXIT_ASSERTION
 
@@ -535,17 +506,27 @@ def run_preset(name: str, out: str | None = None) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {"run-sim": cmd_run_sim, "penrose-check": cmd_penrose_check, "volterra-bench": cmd_volterra_bench,
+             "scatter": cmd_scatter, "preset": run_preset}
+# (exception, exit code, stderr prefix), first match wins: ConfigError and InvariantViolation are ValueErrors
+_FAILURES = (
+    (ConfigError, EXIT_USAGE, "config error"),
+    (ValueError, EXIT_INVARIANT, "invariant violation"),
+    (ScanRefinementError, EXIT_INVARIANT, "penrose scan failed"),
+    (NonFiniteState, EXIT_INVARIANT, "integration failed"),
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="hmflab",
                                      description="Spectral laboratory for the gliding-frame mean-field kinetic model")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in [("run-sim", True), ("penrose-check", True),
-                               ("volterra-bench", True), ("scatter", True), ("preset", False)]:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("config", help="JSON config file")
+        if name == "preset":
+            p.add_argument("target", metavar="name", help=f"one of: {', '.join(PRESET_NAMES)}")
         else:
-            p.add_argument("name", help=f"one of: {', '.join(PRESET_NAMES)}")
+            p.add_argument("target", metavar="config", help="JSON config file")
         p.add_argument("--out", default=None, help="output directory (default: timestamped)")
 
     try:
@@ -554,32 +535,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
     try:
-        if args.command == "run-sim":
-            return cmd_run_sim(args.config, args.out)
-        if args.command == "penrose-check":
-            return cmd_penrose_check(args.config, args.out)
-        if args.command == "volterra-bench":
-            return cmd_volterra_bench(args.config, args.out)
-        if args.command == "scatter":
-            return cmd_scatter(args.config, args.out)
-        if args.command == "preset":
-            return run_preset(args.name, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except ValueError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except ScanRefinementError as exc:
-        print(f"penrose scan failed: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except NonFiniteState as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_USAGE
+        return _COMMANDS[args.command](args.target, args.out)
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        code, prefix = next((code, prefix) for kind, code, prefix in _FAILURES if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -228,7 +228,6 @@ class ModeStability:
     stable: bool
     tau_scan: np.ndarray          # columns: tau, Re(1-Khat), Im(1-Khat)
     tail_bound: float
-    decay_constant: float         # max over the scan of |Khat| * <tau>^2
 
 
 @dataclass(frozen=True)
@@ -316,16 +315,13 @@ def _scan_mode(ik, prof, n, kappa_target, scan: ScanParameters) -> ModeStability
         raise ScanRefinementError(f"mode {n}: winding sum {total / (2 * np.pi):.3f} is not near an integer")
 
     min_abs = float(np.min(np.abs(z)))
-    khat_abs = np.abs(1.0 - z)
-    decay_constant = float(np.max(khat_abs * (1.0 + taus * taus)))
     tail_bound = _KERNEL_TINY * t_cut
 
     kappa_est = min_abs if winding == 0 else 0.0
     stable = (winding == 0) and (min_abs >= kappa_target)
     scan_arr = np.column_stack([taus, z.real, z.imag])
     return ModeStability(n=n, winding=winding, min_real_axis=min_abs, kappa_est=kappa_est,
-                         stable=stable, tau_scan=scan_arr, tail_bound=tail_bound,
-                         decay_constant=decay_constant)
+                         stable=stable, tau_scan=scan_arr, tail_bound=tail_bound)
 
 
 def penrose_check(ik: InteractionKernel, prof: HomogeneousProfile,

@@ -57,7 +57,7 @@ class HomogeneousProfile:
         if self.kind not in ("maxwellian", "two_stream", "tabulated"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind in ("maxwellian", "two_stream") and not self.T > 0:
-            raise ValueError(f"temperature must be positive, got {self.T}")
+            raise ValueError(f"temperature T must be positive, got {self.T}")
         if self.kind == "tabulated":
             v = np.asarray(self.v_samples, dtype=float)
             eta = np.asarray(self.eta_samples, dtype=float)
@@ -137,22 +137,21 @@ def _tabulated_rule(prof: HomogeneousProfile, xi_abs_max: float):
     """
     Gauss-Legendre nodes/weights resolving exp(-i*xi*v) up to xi_abs_max.
 
-    The rule is stored on the (frozen) profile itself, together with the
-    largest |xi| it resolves, so it lives and dies with the samples it was
-    built from.
+    The rule depends on xi_abs_max only through ``per``, the panels per
+    table interval, and is stored under it on the (frozen) profile itself, so
+    a transform does not depend on the calls made before it and the rules
+    live and die with the samples they were built from.
     """
-    cached = prof.__dict__.get("_quad_rule")
-    if cached is not None and cached[0] >= xi_abs_max:
-        return cached[1], cached[2]
-    from scipy.interpolate import CubicSpline    # tabulated profiles only: ~0.3 s to import
-
     v = prof.v_samples
     # subdivide table intervals so each panel sees at most ~4 radians of phase
     per = max(1, int(np.ceil(xi_abs_max * (v[1] - v[0]) / 4.0)))
-    nodes, weights = gauss_panels(v[0], v[-1], per * (v.size - 1), _GL8)
-    fw = weights * CubicSpline(v, prof.eta_samples)(nodes)
-    object.__setattr__(prof, "_quad_rule", (max(xi_abs_max, 1.0), nodes, fw))
-    return nodes, fw
+    rules = prof.__dict__.setdefault("_quad_rules", {})
+    if per not in rules:
+        from scipy.interpolate import CubicSpline    # tabulated profiles only: ~0.3 s to import
+
+        nodes, weights = gauss_panels(v[0], v[-1], per * (v.size - 1), _GL8)
+        rules[per] = (nodes, weights * CubicSpline(v, prof.eta_samples)(nodes))
+    return rules[per]
 
 
 def profile_hat(prof: HomogeneousProfile, xi):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 import hmflab as H
-from hmflab.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, ConfigError, main, measure_scattering,
+from hmflab.cli import (_SCHEMA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, ConfigError, main, measure_scattering,
                         parse_config, run_preset)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -27,6 +30,48 @@ TINY = {
     "perturbation": {"mode": 1, "envelope": "gaussian", "amplitude": 1.0},
     "epsilon": 0.02, "dt": 0.05, "t_final": 10.0,
 }
+
+
+def run_cli(*args, cwd=None, **env):
+    """``python -m hmflab.cli *args`` in a fresh interpreter that imports this package."""
+    src = str(Path(H.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "hmflab.cli", *args], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=600)
+
+
+def write_table(directory):
+    """A maxwellian tabulated as eta.csv in ``directory``; returns its v grid."""
+    v = np.linspace(-12.0, 12.0, 241)
+    H.save_profile_csv(H.maxwellian(1.0), Path(directory) / "eta.csv", v_grid=v)
+    return v
+
+
+# documents the schema rejects, with the key each message must name; profile
+# paths are relative to the working directory, which holds eta.csv
+MALFORMED = {
+    "dt null": (dict(TINY, dt=None), "dt"),
+    "perturbation a number": (dict(TINY, perturbation=5), "perturbation"),
+    "bench a number": (dict(TINY, bench=3), "bench"),
+    "missing table": (dict(TINY, profile={"kind": "tabulated", "path": "missing.csv"}), "path"),
+    "epsilon a string": (dict(TINY, epsilon="x"), "epsilon"),
+    "n_tau a string": (dict(TINY, penrose={"n_tau": "x"}), "n_tau"),
+    "v0 a string": (dict(TINY, profile={"kind": "two_stream", "T": 1.0, "v0": "a"}), "v0"),
+    "negative T": (dict(TINY, profile={"kind": "maxwellian", "T": -1}), "T"),
+    "negative amplitude": (dict(TINY, perturbation={"mode": 1, "amplitude": -1}), "amplitude"),
+    "even n_xi": (dict(TINY, n_xi=260), "n_xi"),
+    "fractional n_max": (dict(TINY, n_max=1.7), "n_max"),
+    "fractional s": (dict(TINY, s=7.9), "s"),
+    "boolean n_max": (dict(TINY, n_max=True), "n_max"),
+    "v0 on a maxwellian": (dict(TINY, profile={"kind": "maxwellian", "T": 1.0, "v0": 2.0}), "v0"),
+    "mass on a table": (dict(TINY, profile={"kind": "tabulated", "path": "eta.csv", "mass": 5}), "mass"),
+    "T on a table": (dict(TINY, profile={"kind": "tabulated", "path": "eta.csv", "T": 2.0}), "T"),
+    "s_tail on a gaussian": (dict(TINY, perturbation={"mode": 1, "envelope": "gaussian", "s_tail": 3}), "s_tail"),
+    "kernel a list": (dict(TINY, kernel=[0.5]), "kernel"),
+    "profile a string": (dict(TINY, profile="maxwellian"), "profile"),
+}
+# also run in a fresh process, where an exception that escapes main prints a traceback
+TRACEBACKS = ("dt null", "perturbation a number", "bench a number", "missing table")
 
 
 class TestParseConfig:
@@ -83,6 +128,55 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="v0"):
             parse_config(write_config(tmp_path, doc))
 
+    def test_tabulated_profile_reads_the_saved_samples(self, tmp_path):
+        v = write_table(tmp_path)
+        doc = dict(TINY, profile={"kind": "tabulated", "path": str(tmp_path / "eta.csv")})
+        prof = parse_config(write_config(tmp_path, doc))[0].profile
+        assert np.array_equal(prof.v_samples, v)
+        assert np.array_equal(prof.eta_samples, H.profile_values(H.maxwellian(1.0), v))
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", "v,eta\n", "v,eta\n1,2,3\n2,3\n3,4\n4,5\n",
+                                      "v,eta\n0,1\n1,1\n3,1\n4,1\n"])
+    def test_malformed_table_is_a_config_error(self, tmp_path, text):
+        (tmp_path / "eta.csv").write_text(text)
+        doc = dict(TINY, profile={"kind": "tabulated", "path": str(tmp_path / "eta.csv")})
+        with pytest.raises(ConfigError):
+            parse_config(write_config(tmp_path, doc))
+
+    def test_missing_table_is_a_config_error(self, tmp_path):
+        doc = dict(TINY, profile={"kind": "tabulated", "path": str(tmp_path / "missing.csv")})
+        with pytest.raises(ConfigError, match="profile.path"):
+            parse_config(write_config(tmp_path, doc))
+
+    def test_readme_schema_example_parses_and_names_every_key(self, tmp_path):
+        section = README.read_text().split("### Config schema", 1)[1].split("\n## ", 1)[0]
+        example = section.split("```json", 1)[1].split("```", 1)[0]
+        parse_config(write_config(tmp_path, json.loads(example)))
+        for name, keys in _SCHEMA.items():
+            for key in keys:
+                assert re.search(f"[`\"]{key}[`\"]", section), f"README's config schema does not name {name}.{key}"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_document_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, case):
+        doc, key = MALFORMED[case]
+        monkeypatch.chdir(tmp_path)
+        write_table(tmp_path)
+        assert main(["penrose-check", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert re.search(rf"\b{key}\b", err), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", TRACEBACKS)
+    def test_no_traceback_from_a_fresh_process(self, tmp_path, case):
+        doc, key = MALFORMED[case]
+        proc = run_cli("penrose-check", write_config(tmp_path, doc), "--out", str(tmp_path / "out"), cwd=tmp_path)
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1, proc.stderr
+        assert re.search(rf"\b{key}\b", proc.stderr), proc.stderr
+
 
 class TestSubcommands:
     def test_run_sim_artifacts(self, tmp_path):
@@ -93,11 +187,14 @@ class TestSubcommands:
         assert header == "t,re_zeta1,im_zeta1,abs_zeta1,mass_re,mass_im,l2_full,h_smin4,h_s"
         assert (out / "final_state.csv").read_text().splitlines()[0] == "n,xi,re,im"
 
-    def test_run_sim_exit_codes(self, tmp_path):
+    def test_run_sim_exit_codes(self, tmp_path, capsys):
         assert main(["run-sim", write_config(tmp_path, {"bogus": 1}, "a.json")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: unknown key 'bogus' in config\n"
         doc = dict(TINY)
-        doc.update(xi_max=5.0, n_xi=101)
+        doc.update(xi_max=10.0, n_xi=201, t_final=20.0)
         assert main(["run-sim", write_config(tmp_path, doc, "b.json")]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == ("invariant violation: xi_max=10.0 too small for t_final=20.0: "
+                                           "required xi_max >= n_max*t_final + 4*dxi = 20.4\n")
 
     def test_penrose_check_report(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY)
@@ -111,10 +208,7 @@ class TestSubcommands:
 
     def test_penrose_scan_failure_exits_3_without_traceback(self, tmp_path):
         doc = dict(TINY, penrose={"tau_max": 1.0})
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(Path(H.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-m", "hmflab.cli", "penrose-check", write_config(tmp_path, doc),
-                               "--out", str(tmp_path / "pen")], env=env, capture_output=True, text=True, timeout=600)
+        proc = run_cli("penrose-check", write_config(tmp_path, doc), "--out", str(tmp_path / "pen"))
         assert proc.returncode == EXIT_INVARIANT
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1 and "tau_max=1.0 too small" in proc.stderr
@@ -135,11 +229,13 @@ class TestSubcommands:
         assert lines[0] == "gamma,T,ratio"
         assert len(lines) == 5
 
-    def test_volterra_bench_unstable_refused(self, tmp_path):
+    def test_volterra_bench_unstable_refused(self, tmp_path, capsys):
         doc = dict(TINY)
         doc["kernel"] = {"M": 1, "p": [-0.5]}
         doc["profile"] = {"kind": "maxwellian", "T": 0.4}
         assert main(["volterra-bench", write_config(tmp_path, doc)]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == ("invariant violation: harness refused: state fails the stability "
+                                           "check; the bound presumes it\n")
 
     def test_scatter_artifacts(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY)
@@ -156,10 +252,12 @@ class TestSubcommands:
         assert rates["scattering_slope"] == slope
         assert rates["scattering_window"] == list(window) == [1.0, 9.8]
 
-    def test_scatter_requires_per_step_recording(self, tmp_path):
+    def test_scatter_requires_per_step_recording(self, tmp_path, capsys):
         doc = dict(TINY)
         doc["record_every"] = 4
         assert main(["scatter", write_config(tmp_path, doc)]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == ("invariant violation: scatter requires record_every = 1 "
+                                           "(the integrand is re-assembled per step)\n")
 
 
 class TestPresets:
@@ -188,16 +286,12 @@ class TestDeterminism:
 
     def test_blas_thread_count_does_not_change_csvs(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY)
-        src = str(Path(H.__file__).resolve().parents[1])
         for command, names in (("run-sim", ("timeseries.csv", "final_state.csv")),
                                ("scatter", ("g_inf.csv", "eta_inf.csv", "timeseries.csv"))):
             outs = []
             for threads in ("1", "2"):
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                           PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
                 out = tmp_path / f"{command}-blas{threads}"
-                proc = subprocess.run([sys.executable, "-m", "hmflab.cli", command, cfg_path, "--out", str(out)],
-                                      env=env, capture_output=True, text=True, timeout=600)
+                proc = run_cli(command, cfg_path, "--out", str(out), OPENBLAS_NUM_THREADS=threads)
                 assert proc.returncode == EXIT_OK, proc.stderr
                 outs.append(out)
             for name in names:

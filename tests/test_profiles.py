@@ -8,6 +8,7 @@ import pytest
 
 import hmflab as H
 from hmflab import profiles
+from hmflab.profiles import gauss_panels
 
 
 class TestProfileHat:
@@ -68,6 +69,35 @@ class TestProfileHat:
             second = H.tabulated(v, np.exp(-v * v / 8) / np.sqrt(8 * np.pi))
             assert second.mass == pytest.approx(1.0, abs=1e-8)
             assert H.profile_hat(second, 1.0) == pytest.approx(np.exp(-2.0), abs=1e-8)
+
+    def test_transform_does_not_depend_on_call_history(self):
+        # a transform at a larger |xi| must not leave a finer rule for later calls
+        v = np.linspace(-12.0, 12.0, 961)
+        used, fresh = (H.tabulated(v, np.exp(-v * v / 2) / np.sqrt(2 * np.pi)) for _ in range(2))
+        H.profile_hat(used, 400.0)
+        xi = np.linspace(-30.0, 30.0, 601)
+        assert np.array_equal(H.profile_hat(used, xi), H.profile_hat(fresh, xi))
+
+    def test_one_rule_per_panel_subdivision(self, monkeypatch):
+        # every transform of a 40-step run on a 961-point table needs one panel per
+        # table interval (max|xi - n t| < 160), so the table's mass rule serves them all
+        built = []
+
+        def counting(a, b, n_panels, rule):
+            built.append(n_panels)
+            return gauss_panels(a, b, n_panels, rule)
+
+        monkeypatch.setattr(profiles, "gauss_panels", counting)
+        v = np.linspace(-12.0, 12.0, 961)
+        prof = H.tabulated(v, np.exp(-v * v / 2) / np.sqrt(2 * np.pi))
+        cfg = H.SimConfig(grid=H.make_grid(1, 13.0, 261, 1), kernel=H.InteractionKernel.cosine(), profile=prof,
+                          perturbations=H.Perturbation(mode=1), epsilon=0.02, dt=0.05, t_final=2.0,
+                          check_stability=False)
+        H.run(cfg)
+        assert built == [960]
+        H.profile_hat(prof, np.array([200.0, 0.0]))        # per = 2
+        H.profile_hat(prof, 1.0)
+        assert built == [960, 1920]
 
 
 class TestFourierSum:
