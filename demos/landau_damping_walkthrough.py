@@ -67,7 +67,7 @@ def main() -> None:
 
     res = H.scattering_limit(traj)
     prof_inf = H.weak_limit_profile(res.field, cfg.profile, cfg.epsilon)
-    print(f"scattering state accumulated; corrected background mass = {prof_inf.mass:.8f}")
+    print(f"scattering state g_inf(T) = g(T); corrected background mass = {prof_inf.mass:.8f}")
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .volterra import ModeSeries
 __all__ = [
     "NormMonitor",
     "q_monitor",
+    "fit_window",
     "decay_fit",
     "weighted_mode_series",
     "conservation_drifts",
@@ -123,26 +124,32 @@ def weighted_mode_series(series: ModeSeries, gamma: float, mode: int = 1) -> Mod
     return ModeSeries(series.times, {mode: w * series.mode(mode)})
 
 
-def decay_fit(series: ModeSeries, window: tuple, mode: int = 1) -> tuple:
-    """
-    Least-squares slope of log|z_mode| against log t on the window.
-
-    Returns (slope, r_squared).  The window must start at t >= 1 and contain
-    at least 20 samples; if |z| underflows 1e-14 inside the window the fit
-    refuses and reports the largest usable sub-window instead of fitting
-    noise.
-    """
+def fit_window(times: np.ndarray, window: tuple) -> np.ndarray:
+    """Mask of the ``times`` inside ``window``; a ValueError unless the window
+    starts at t >= 1 and holds at least 20 of them (decay_fit's rule)."""
     t_a, t_b = float(window[0]), float(window[1])
     if t_a < 1.0:
         raise ValueError(f"fit window must start at t >= 1, got {t_a}")
     if not t_b > t_a:
         raise ValueError(f"empty fit window [{t_a}, {t_b}]")
-    t = series.times
-    sel = (t >= t_a) & (t <= t_b)
+    sel = (times >= t_a) & (times <= t_b)
     if int(np.sum(sel)) < 20:
         raise ValueError(f"need at least 20 samples in [{t_a}, {t_b}], have {int(np.sum(sel))}")
+    return sel
+
+
+def decay_fit(series: ModeSeries, window: tuple, mode: int = 1) -> tuple:
+    """
+    Least-squares slope of log|z_mode| against log t on the window.
+
+    Returns (slope, r_squared).  The window must pass fit_window; if |z|
+    underflows 1e-14 inside it the fit refuses and reports the largest
+    usable sub-window instead of fitting noise.
+    """
+    sel = fit_window(series.times, window)
+    t_a = float(window[0])
     mag = np.abs(series.mode(mode)[sel])
-    ts = t[sel]
+    ts = series.times[sel]
     under = mag <= 1e-14
     if np.any(under):
         first_bad = int(np.argmax(under))
@@ -171,52 +178,31 @@ def conservation_drifts(traj: Trajectory) -> tuple:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Accumulated scattering state with a tail-of-integral indicator."""
+    """Scattering state at a horizon with a tail-of-integral indicator."""
 
     field: SpectralField
-    tail_estimate: float          # ||rhs(t_final)||_{H^{s-4}} * <t_final>
+    tail_estimate: float          # ||rhs(t_final)||_{H^{max(s-4,1)}} * <t_final>
     t_final: float
 
 
 def scattering_limit(traj: Trajectory, up_to: float | None = None,
                      carry: ScatteringResult | None = None) -> ScatteringResult:
     """
-    Trapezoidal accumulation of the scattering state
-
-        g_inf = g(0) + int_0^T rhs(sigma) dsigma,
-
-    with the integrand re-assembled from the recorded snapshots, which must
-    therefore exist at every step (record_every == 1).  Passing ``carry``
-    resumes from a previous partial accumulation; composite trapezoid is
-    additive, so splitting the range reproduces the full result to roundoff.
-    The returned tail estimate ||rhs(T)|| * <T> extrapolates what the
-    truncated tail of the integral can still contribute.
+    The scattering state g_inf(T) = g(0) + int_0^T rhs = g(T) at the recorded
+    snapshot nearest ``up_to`` (default: the last one), bitwise, with the tail
+    estimate ||rhs(T)||_{H^{max(s-4,1)}} <T>.  ``carry``, a result at an
+    earlier horizon, must end before T and leaves the result unchanged (see
+    "Scattering state" in docs/conventions.md).
     """
     cfg = traj.config
-    if cfg.record_every != 1:
-        raise ValueError("scattering_limit needs snapshots at every step (record_every == 1)")
     times = traj.snapshot_times
-    t_end = float(times[-1]) if up_to is None else float(up_to)
-    i1 = int(np.argmin(np.abs(times - t_end)))
-    if carry is None:
-        i0 = 0
-        acc = traj.snapshots[0].values.astype(np.complex128).copy()
-    else:
-        i0 = int(np.argmin(np.abs(times - carry.t_final)))
-        acc = carry.field.values.astype(np.complex128).copy()
-    if i1 <= i0:
-        raise ValueError(f"empty accumulation range [{times[i0]}, {t_end}]")
-
-    dt = cfg.dt
-    for i in range(i0, i1 + 1):
-        rhs = assemble_rhs(traj.snapshots[i], float(times[i]), cfg)
-        w = 0.5 * dt if i in (i0, i1) else dt
-        acc += w * rhs.values
-
-    field = SpectralField(cfg.grid, acc, real_valued=True)
-    low_order = max(cfg.s - 4, 1)
-    tail = sobolev_norm(rhs, low_order) * np.sqrt(1.0 + times[i1] ** 2)
-    return ScatteringResult(field=field, tail_estimate=float(tail), t_final=float(times[i1]))
+    i = int(np.argmin(np.abs(times - (times[-1] if up_to is None else float(up_to)))))
+    t_final = float(times[i])
+    if carry is not None and not carry.t_final < t_final:
+        raise ValueError(f"empty accumulation range [{carry.t_final}, {t_final}]")
+    rhs = assemble_rhs(traj.snapshots[i], t_final, cfg)
+    tail = sobolev_norm(rhs, max(cfg.s - 4, 1)) * np.sqrt(1.0 + times[i] ** 2)
+    return ScatteringResult(field=traj.snapshots[i], tail_estimate=float(tail), t_final=t_final)
 
 
 def convergence_series(traj: Trajectory, g_inf: SpectralField) -> tuple:

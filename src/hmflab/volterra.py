@@ -25,6 +25,7 @@ __all__ = [
     "product_trapezoid",
     "solve_volterra",
     "solve_field_equation",
+    "step_count",
     "weighted_sup",
     "lemvolterra_harness",
 ]
@@ -141,7 +142,10 @@ def product_trapezoid(kernel_samples: np.ndarray, forcing_samples: np.ndarray, d
     return out
 
 
-def _step_count(t_final: float, dt: float) -> int:
+def step_count(t_final: float, dt: float) -> int:
+    """Number of steps of size dt to t_final; a ValueError unless t_final is a multiple of dt > 0."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     n = int(round(t_final / dt))
     if abs(n * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
@@ -162,7 +166,7 @@ def solve_volterra(kernel, forcing, dt: float, t_final: float | None = None,
         if callable(probe):
             raise ValueError("t_final required when both kernel and forcing are callables")
         t_final = (len(probe) - 1) * dt
-    times = np.arange(_step_count(t_final, dt) + 1) * dt
+    times = np.arange(step_count(t_final, dt) + 1) * dt
     z = product_trapezoid(_samples(kernel, times), _samples(forcing, times), dt)
     return ModeSeries(times, {mode: z})
 
@@ -200,12 +204,12 @@ def lemvolterra_harness(ik: InteractionKernel, prof, gammas, t_values,
     ``forcing_family(gamma)`` returns a vectorized forcing; the default is
     F(t) = <t>^{-gamma}.
     """
+    steps = [step_count(float(t_final), dt) for t_final in t_values]
     report = penrose_check(ik, prof)
     if not report.stable:
         raise ValueError("harness refused: state fails the stability check; the bound presumes it")
     if forcing_family is None:
         forcing_family = lambda g: (lambda t: (1.0 + t * t) ** (-g / 2.0))
-    steps = [_step_count(float(t_final), dt) for t_final in t_values]
     # one batched march on the longest grid; the march is causal, so each
     # shorter T reads its solution as a prefix
     times = np.arange(max(steps, default=0) + 1) * dt

@@ -252,12 +252,35 @@ class TestSubcommands:
         assert rates["scattering_slope"] == slope
         assert rates["scattering_window"] == list(window) == [1.0, 9.8]
 
-    def test_scatter_requires_per_step_recording(self, tmp_path, capsys):
-        doc = dict(TINY)
-        doc["record_every"] = 4
-        assert main(["scatter", write_config(tmp_path, doc)]) == EXIT_INVARIANT
-        assert capsys.readouterr().err == ("invariant violation: scatter requires record_every = 1 "
-                                           "(the integrand is re-assembled per step)\n")
+    def test_scatter_state_is_the_final_state(self, tmp_path):
+        cfg_path = write_config(tmp_path, dict(TINY, record_every=4))
+        assert main(["scatter", cfg_path, "--out", str(tmp_path / "scat")]) == EXIT_OK
+        assert main(["run-sim", cfg_path, "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert (tmp_path / "scat" / "g_inf.csv").read_bytes() == (tmp_path / "run" / "final_state.csv").read_bytes()
+
+    @pytest.mark.parametrize("t_final, reason", [(1.0, "empty fit window [1.0, 0.9]"),
+                                                 (2.0, "need at least 20 samples in [1.0, 1.8], have 17")])
+    def test_scatter_checks_its_fit_window_before_it_runs(self, tmp_path, monkeypatch, capsys, t_final, reason):
+        monkeypatch.setattr("hmflab.cli.run", lambda cfg: pytest.fail("scatter ran the simulation"))
+        assert main(["scatter", write_config(tmp_path, dict(TINY, t_final=t_final))]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == (f"invariant violation: t_final={t_final} and dt=0.05 leave no |z_1| "
+                                           f"fit window: {reason}\n")
+
+    def test_volterra_bench_off_grid_time_rejected_at_parse_time(self, tmp_path, capsys):
+        doc = dict(TINY, bench={"gammas": [2], "t_list": [10.03], "dt": 0.02})
+        with pytest.raises(H.InvariantViolation, match=r"bench\.t_list entry 10\.03 .* bench\.dt=0\.02"):
+            parse_config(write_config(tmp_path, doc))
+        assert main(["volterra-bench", write_config(tmp_path, doc)]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == ("invariant violation: bench.t_list entry 10.03 is not reached by "
+                                           "steps of bench.dt=0.02\n")
+
+    def test_blow_up_prints_no_numpy_warnings(self, tmp_path):
+        doc = dict(TINY, n_xi=421, xi_max=21.0, kernel={"p": [-0.5]}, profile={"kind": "maxwellian", "T": 0.05},
+                   perturbation={"mode": 1, "amplitude": 1e8}, epsilon=10.0, dt=0.1, t_final=1.0)
+        proc = run_cli("run-sim", write_config(tmp_path, doc), "--out", str(tmp_path / "r"))
+        assert proc.returncode == EXIT_INVARIANT
+        assert "non-finite state" in proc.stderr and "encountered in" not in proc.stderr
+        assert "fails the stability check" in proc.stderr
 
 
 class TestPresets:

@@ -234,10 +234,17 @@ class TestHarness:
     def test_t_not_multiple_of_dt_refused_before_marching(self, monkeypatch):
         marches = []
         monkeypatch.setattr(volterra, "product_trapezoid", lambda *args: marches.append(args))
+        monkeypatch.setattr(volterra, "penrose_check", lambda *args: marches.append(args))
         with pytest.raises(ValueError, match="multiple"):
             H.lemvolterra_harness(H.InteractionKernel.cosine(), H.maxwellian(1.0),
                                   gammas=[2.0], t_values=[10.0, 10.01], dt=0.02)
         assert marches == []
+
+    def test_step_count_needs_a_positive_step(self):
+        assert volterra.step_count(10.0, 0.02) == 500
+        for dt in (0.0, -0.02):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                volterra.step_count(10.0, dt)
 
     def test_unstable_state_refused(self):
         with pytest.raises(ValueError, match="stability"):
