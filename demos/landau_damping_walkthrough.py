@@ -30,7 +30,7 @@ def main() -> None:
         epsilon=0.01,
         dt=0.05,
         t_final=t_final,
-        record_every=1,
+        record_every=800,      # only the first and the last snapshot are read
         s=7,
     )
     print(f"background: maxwellian(T=1), interaction cos(x), eps = {cfg.epsilon}")

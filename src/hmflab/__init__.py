@@ -8,16 +8,14 @@ and measures nonlinear damping and scattering rates at desk scale.
 """
 
 from .grids import (
+    InvariantViolation,
     PhaseGrid,
     SpectralField,
     cubic_interp,
-    embedding_bound,
     embedding_constant,
     interp_point,
     make_grid,
     norm_ladder,
-    read_field_csv,
-    reality_defect,
     shift_rows,
     sobolev_norm,
     write_field_csv,
@@ -48,20 +46,16 @@ from .volterra import (
     ModeSeries,
     lemvolterra_harness,
     product_trapezoid,
-    solve_field_equation,
     solve_volterra,
     weighted_sup,
 )
 from .simulate import (
-    InvariantViolation,
     NonFiniteState,
     SimConfig,
     Trajectory,
     assemble_rhs,
     extract_field_modes,
-    reconstruct_potential,
     run,
-    step,
 )
 from .diagnostics import (
     NormMonitor,

@@ -30,11 +30,11 @@ import numpy as np
 
 from .diagnostics import (conservation_drifts, convergence_series, decay_fit, fit_window, q_monitor,
                           scattering_limit, weak_limit_profile, weighted_mode_series)
-from .grids import make_grid, write_field_csv, write_series_csv
+from .grids import InvariantViolation, make_grid, write_field_csv, write_series_csv
 from .penrose import (InteractionKernel, ScanParameters, ScanRefinementError, critical_parameter, growth_rate,
                       memory_kernel, penrose_check)
 from .profiles import Perturbation, load_profile_csv, maxwellian, save_profile_csv, two_stream
-from .simulate import InvariantViolation, NonFiniteState, SimConfig, run
+from .simulate import NonFiniteState, SimConfig, run
 from .volterra import lemvolterra_harness, solve_volterra, step_count
 
 __all__ = ["ConfigError", "parse_config", "run_preset", "PRESET_NAMES", "main"]
@@ -235,15 +235,14 @@ def cmd_scatter(config_path, out: str | None) -> int:
         fit_window(np.arange(cfg.n_steps + 1) * cfg.dt, zeta_window)
     except ValueError as exc:
         raise InvariantViolation(f"t_final={cfg.t_final} and dt={cfg.dt} leave no |z_1| fit window: {exc}") from exc
-    d = _out_dir(out, "scatter")
     traj = run(cfg)
     result = scattering_limit(traj)
-    write_field_csv(result.field, d / "g_inf.csv")
-    prof_inf = weak_limit_profile(result.field, cfg.profile, cfg.epsilon)
-    save_profile_csv(prof_inf, d / "eta_inf.csv")
-
     zeta_slope, zeta_r2 = decay_fit(traj.field_modes, zeta_window, mode=1)
     slope, window = measure_scattering(traj, result)
+
+    d = _out_dir(out, "scatter")
+    write_field_csv(result.field, d / "g_inf.csv")
+    save_profile_csv(weak_limit_profile(result.field, cfg.profile, cfg.epsilon), d / "eta_inf.csv")
     _save_json(d / "rates.json", {
         "zeta_slope": float(zeta_slope), "zeta_r2": float(zeta_r2),
         "zeta_window": list(zeta_window),
@@ -374,11 +373,16 @@ def scattering_run_config() -> SimConfig:
 
 def measure_scattering(traj, result) -> tuple:
     """(slope, window) of log ||g(t) - g_inf||_{H^1} against log t on [T/10, 0.98 T]; the
-    window stops short of T, where the distance to g_inf(T) = g(T) vanishes."""
-    t_final = traj.config.t_final
-    window = (t_final / 10.0, 0.98 * t_final)
+    window stops short of T, where the distance to g_inf(T) = g(T) vanishes.  A ValueError
+    unless the recorded snapshots put at least 3 samples in the window."""
+    cfg = traj.config
+    window = (cfg.t_final / 10.0, 0.98 * cfg.t_final)
     conv_t, conv = convergence_series(traj, result.field)
     sel = (conv_t >= window[0]) & (conv_t <= window[1])
+    if np.count_nonzero(sel) < 3:
+        raise ValueError(f"{np.count_nonzero(sel)} convergence samples in the scattering fit window "
+                         f"[{window[0]:.6g}, {window[1]:.6g}], need at least 3; use a record_every "
+                         f"smaller than {cfg.record_every}")
     slope = np.polyfit(np.log(conv_t[sel]), np.log(np.maximum(conv[sel], 1e-300)), 1)[0]
     return float(slope), window
 
@@ -460,7 +464,7 @@ def finite_m2_run_config() -> SimConfig:
 def measure_finite_m2(traj) -> tuple:
     """(finite-M monitor, q_sup(T) / q_sup(T/2), {k: (gamma, slope, r2)} of <t>^gamma |z_k|
     on [15, 40] for k = 1, 2 with gamma = s + 1 - 2k)."""
-    mon = q_monitor(traj, variant="finite_M")
+    mon = q_monitor(traj)
     fits = {}
     for k in (1, 2):
         gamma = traj.config.s + 1 - 2 * k

@@ -47,7 +47,6 @@ class NormMonitor:
     """Composite weighted-norm monitor sampled along a trajectory."""
 
     s: int
-    variant: str
     m_kernel: int
     times: np.ndarray
     growth_part: np.ndarray
@@ -66,29 +65,17 @@ class NormMonitor:
         half = min(max(half, 1), len(self.times) - 1)
         return float(self.q_series[-1] / self.q_series[half])
 
-    def bounded(self, threshold: float = 2.0) -> bool:
-        """Flag runs whose monitor is still growing between T/2 and T."""
-        return self.growth_from_halfway() < threshold
 
-
-def q_monitor(traj: Trajectory, s: int | None = None, variant: str = "cosine") -> NormMonitor:
+def q_monitor(traj: Trajectory) -> NormMonitor:
     """
-    Evaluate the composite monitor along a trajectory.
-
-    ``variant="cosine"`` uses M = 1 exponents regardless of the kernel;
-    ``variant="finite_M"`` takes M from the kernel.  ``s`` defaults to the
-    run's monitor index and may not exceed it (the norm ladder is only
-    logged up to that order; grid-truncated norms are lower bounds of the
-    true ones, so the edge tail fraction is reported to make
-    under-resolution visible).
+    Evaluate the composite monitor along a trajectory, at the run's monitor
+    index s with M the kernel's number of modes.  Grid-truncated norms are
+    lower bounds of the true ones, so the edge tail fraction is reported to
+    make under-resolution visible.
     """
-    if variant not in ("cosine", "finite_M"):
-        raise ValueError(f"unknown variant {variant!r}")
     cfg = traj.config
-    s = cfg.s if s is None else int(s)
-    if s > cfg.s:
-        raise ValueError(f"s={s} exceeds the run's logged ladder (s={cfg.s})")
-    m = 1 if variant == "cosine" else cfg.kernel.n_modes
+    s = cfg.s
+    m = cfg.kernel.n_modes
     low_order = max(s - 2 * m - 2, 0)
 
     t = traj.times
@@ -113,7 +100,7 @@ def q_monitor(traj: Trajectory, s: int | None = None, variant: str = "cosine") -
     total = float(np.sum(weighted))
     tail = edge / total if total > 0 else 0.0
 
-    return NormMonitor(s=s, variant=variant, m_kernel=m, times=t, growth_part=growth,
+    return NormMonitor(s=s, m_kernel=m, times=t, growth_part=growth,
                        mode_part=mode_part, low_part=low, q_series=q_series,
                        edge_tail_fraction=tail)
 

@@ -1,5 +1,5 @@
 """
-Uniform spectral phase-space grids, weighted Sobolev norms, and field I/O.
+Uniform spectral phase-space grids, weighted Sobolev norms, and field output.
 
 State convention
 ----------------
@@ -38,6 +38,7 @@ from math import comb
 import numpy as np
 
 __all__ = [
+    "InvariantViolation",
     "PhaseGrid",
     "SpectralField",
     "make_grid",
@@ -47,12 +48,13 @@ __all__ = [
     "sobolev_norm",
     "norm_ladder",
     "embedding_constant",
-    "embedding_bound",
-    "reality_defect",
     "symmetrized_values",
     "write_field_csv",
-    "read_field_csv",
 ]
+
+
+class InvariantViolation(ValueError):
+    """A configuration breaks a hard invariant of the discretization."""
 
 
 @dataclass(frozen=True)
@@ -141,10 +143,6 @@ class SpectralField:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def zeros(cls, grid: PhaseGrid, real_valued: bool = True) -> "SpectralField":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128), real_valued)
-
     def mode(self, n: int) -> np.ndarray:
         """Read-only row of spatial mode n (zeros if |n| > n_max)."""
         if abs(n) > self.grid.n_max:
@@ -157,9 +155,6 @@ class SpectralField:
             out = np.zeros_like(np.atleast_1d(np.asarray(targets, dtype=float)), dtype=np.complex128)
             return out[0] if np.isscalar(targets) else out
         return cubic_interp(self.mode(n), self.grid, targets)
-
-    def symmetrized(self) -> "SpectralField":
-        return SpectralField(self.grid, symmetrized_values(self.values), self.real_valued)
 
 
 def _lagrange_weights(th):
@@ -392,17 +387,10 @@ def norm_ladder(field: SpectralField | np.ndarray, max_order: int, *, grid: Phas
     return np.sqrt(norms2)
 
 
-def sobolev_norm(field: SpectralField, order: int, m0: int | None = None) -> float:
-    """
-    Weighted Sobolev norm of the field at the given derivative order.
-
-    ``m0``, when given, must match the grid's weight exponent (the norm is
-    tied to the grid discretization of the weight).
-    """
+def sobolev_norm(field: SpectralField, order: int) -> float:
+    """Weighted Sobolev norm of the field at the given derivative order (weight exponent: the grid's m0)."""
     if order < 0:
         raise ValueError(f"norm order must be >= 0, got {order}")
-    if m0 is not None and m0 != field.grid.m0:
-        raise ValueError(f"m0={m0} does not match grid m0={field.grid.m0}")
     return float(norm_ladder(field, order)[order])
 
 
@@ -418,36 +406,6 @@ def embedding_constant(m0: int) -> float:
         raise ValueError(f"m0 must be a positive integer, got {m0}")
     integral = np.pi * comb(2 * m0 - 2, m0 - 1) / 4.0 ** (m0 - 1)
     return float(np.sqrt(integral / (2.0 * np.pi)))
-
-
-def embedding_bound(field: SpectralField, k: int, xi: float, alpha: int, beta: int,
-                    constant: float | None = None) -> tuple[float, float]:
-    """
-    Evaluate both sides of the pointwise mode bound
-
-        |ghat_k(xi)| <= 2^{n/2} C(m0) <k>^{-alpha} <xi>^{-beta} ||g||_{H^n},
-
-    with n = alpha + beta and <x> = (1 + x^2)^{1/2}.  Returns (lhs, rhs).
-    ``constant`` overrides C(m0); the default is ``embedding_constant(m0)``.
-    """
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be nonnegative")
-    if abs(xi) > field.grid.xi_max:
-        raise ValueError(f"xi={xi} outside the grid window [{-field.grid.xi_max}, {field.grid.xi_max}]")
-    order = alpha + beta
-    lhs = float(abs(field.interp(k, float(xi))))
-    c = embedding_constant(field.grid.m0) if constant is None else float(constant)
-    rhs = (2.0 ** (order / 2.0) * c
-           * (1.0 + k * k) ** (-alpha / 2.0)
-           * (1.0 + xi * xi) ** (-beta / 2.0)
-           * sobolev_norm(field, order))
-    return lhs, rhs
-
-
-def reality_defect(field: SpectralField) -> float:
-    """Max deviation from ghat_{-n}(-xi) = conj(ghat_n(xi)) over all nodes."""
-    v = field.values
-    return float(np.max(np.abs(v[::-1, ::-1] - np.conj(v))))
 
 
 def symmetrized_values(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -472,25 +430,6 @@ def write_field_csv(field: SpectralField, path) -> None:
             for j in range(grid.n_xi):
                 z = field.values[i, j]
                 fh.write(f"{n},{grid.xi[j]:.17g},{z.real:.17g},{z.imag:.17g}\n")
-
-
-def read_field_csv(path, m0: int = 1, real_valued: bool = True) -> SpectralField:
-    """Read a snapshot written by :func:`write_field_csv`, rebuilding the grid."""
-    data = np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
-    n_col = np.asarray(data["n"], dtype=int)
-    xi_col = np.asarray(data["xi"], dtype=float)
-    n_max = int(n_col.max())
-    if n_col.min() != -n_max:
-        raise ValueError(f"snapshot modes are not symmetric: [{n_col.min()}, {n_max}]")
-    n_xi = int(np.sum(n_col == n_max))
-    xi_row = xi_col[:n_xi]
-    spacing = np.diff(xi_row)
-    if n_xi < 3 or not np.allclose(spacing, spacing[0], rtol=1e-12, atol=1e-12):
-        raise ValueError("snapshot xi grid is not uniform")
-    grid = PhaseGrid(n_max=n_max, xi_max=float(xi_row[-1]), n_xi=n_xi, m0=m0)
-    vals = (np.asarray(data["re"], dtype=float)
-            + 1j * np.asarray(data["im"], dtype=float)).reshape(grid.shape)
-    return SpectralField(grid, vals, real_valued=real_valued)
 
 
 _FLOAT_FMT = "%.17g"

@@ -84,18 +84,16 @@ def two_stream(T: float, v0: float, mass: float = 1.0) -> HomogeneousProfile:
     return HomogeneousProfile(kind="two_stream", mass=mass, T=T, v0=v0)
 
 
-def tabulated(v: np.ndarray, eta: np.ndarray, mass: float | None = None) -> HomogeneousProfile:
+def tabulated(v: np.ndarray, eta: np.ndarray) -> HomogeneousProfile:
     """
     Profile from samples on a uniform v grid.
 
-    When ``mass`` is omitted it is taken from the quadrature of the samples,
-    so the invariant etahat(0) = mass holds by construction.
+    Its mass is the quadrature of the samples, so the invariant
+    etahat(0) = mass holds by construction.
     """
     prof = HomogeneousProfile(kind="tabulated", mass=1.0, v_samples=np.asarray(v, float),
                               eta_samples=np.asarray(eta, float))
-    if mass is None:
-        mass = float(np.real(profile_hat(prof, 0.0)))
-    object.__setattr__(prof, "mass", float(mass))
+    object.__setattr__(prof, "mass", float(np.real(profile_hat(prof, 0.0))))
     return prof
 
 
@@ -196,19 +194,13 @@ def load_profile_csv(path) -> HomogeneousProfile:
     return tabulated(np.asarray(data["v"], float), np.asarray(data["eta"], float))
 
 
-def save_profile_csv(prof: HomogeneousProfile, path, v_grid: np.ndarray | None = None) -> None:
-    """Write ``v,eta`` CSV; non-tabulated profiles are sampled on ``v_grid``."""
-    if prof.kind == "tabulated" and v_grid is None:
-        v = prof.v_samples
-        eta = prof.eta_samples
-    else:
-        if v_grid is None:
-            raise ValueError("v_grid required to tabulate a closed-form profile")
-        v = np.asarray(v_grid, float)
-        eta = profile_values(prof, v)
+def save_profile_csv(prof: HomogeneousProfile, path) -> None:
+    """Write a tabulated profile's samples as ``v,eta`` CSV."""
+    if prof.kind != "tabulated":
+        raise ValueError(f"only tabulated profiles are saved, got a {prof.kind} profile")
     with open(path, "w") as fh:
         fh.write("v,eta\n")
-        for vi, ei in zip(v, eta):
+        for vi, ei in zip(prof.v_samples, prof.eta_samples):
             fh.write(f"{vi:.17g},{ei:.17g}\n")
 
 
@@ -242,14 +234,12 @@ class Perturbation:
 
 def synth_initial(perturbations, grid: PhaseGrid) -> SpectralField:
     """
-    Build the initial spectral field from one perturbation or a sequence.
+    Build the initial spectral field from a sequence of perturbations.
 
     Each component populates rows +-mode with amplitude * envelope(xi) (the
     envelopes are real and even, so the reality symmetry holds by
     construction); everything else is zero.
     """
-    if isinstance(perturbations, Perturbation):
-        perturbations = (perturbations,)
     vals = np.zeros(grid.shape, dtype=np.complex128)
     for p in perturbations:
         if abs(p.mode) > grid.n_max:

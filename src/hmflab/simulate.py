@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import (PhaseGrid, SpectralField, interp_point, make_grid, norm_ladder, shift_rows,
-                    symmetrized_values)
+from .grids import (InvariantViolation, PhaseGrid, SpectralField, interp_point, make_grid, norm_ladder,
+                    shift_rows, symmetrized_values)
 from .penrose import InteractionKernel, PenroseReport, penrose_check
 from .profiles import HomogeneousProfile, Perturbation, profile_hat, synth_initial
 from .volterra import ModeSeries
@@ -33,18 +33,11 @@ from .volterra import ModeSeries
 __all__ = [
     "SimConfig",
     "Trajectory",
-    "InvariantViolation",
     "NonFiniteState",
     "extract_field_modes",
     "assemble_rhs",
-    "step",
     "run",
-    "reconstruct_potential",
 ]
-
-
-class InvariantViolation(ValueError):
-    """A configuration breaks a hard invariant of the discretization."""
 
 
 class NonFiniteState(RuntimeError):
@@ -126,33 +119,21 @@ class Trajectory:
     snapshots: list
     stability: PenroseReport | None = None
 
-    def snapshot_at(self, t: float) -> SpectralField:
-        i = int(np.argmin(np.abs(self.snapshot_times - t)))
-        return self.snapshots[i]
-
 
 def _active_modes(kernel: InteractionKernel) -> list:
     pos = kernel.active_modes()
     return [-k for k in reversed(pos)] + pos
 
 
-def extract_field_modes(state: SpectralField | np.ndarray, t: float, kernel: InteractionKernel,
-                        grid: PhaseGrid | None = None) -> dict:
+def extract_field_modes(values: np.ndarray, t: float, kernel: InteractionKernel, grid: PhaseGrid) -> dict:
     """
-    Self-consistent field modes z_k(t) = ghat_k(t, k*t) for every active
-    interaction mode k, by cubic interpolation in xi.
+    Self-consistent field modes z_k(t) = ghat_k(t, k*t) of the state ``values``
+    on ``grid``, for every active interaction mode k, by cubic interpolation in xi.
 
     The read positions must stay at least two cells inside the window
     (|k t| <= xi_max - 2*dxi); violating that is a configuration bug and
     fails hard rather than silently truncating.
     """
-    if isinstance(state, SpectralField):
-        grid = state.grid
-        values = state.values
-    else:
-        if grid is None:
-            raise TypeError("grid required when passing a bare array")
-        values = state
     out = {}
     for k in _active_modes(kernel):
         target = k * t
@@ -247,22 +228,6 @@ def _step_values(values: np.ndarray, t: float, cfg: SimConfig, background: _Back
     np.add(acc, k4, out=acc)
     np.multiply(dt / 6.0, acc, out=acc)
     return np.add(values, acc, out=acc)
-
-
-def step(state: SpectralField, t: float, cfg: SimConfig) -> SpectralField:
-    """
-    One RK4 step from t to t + dt, with the reality symmetry re-enforced by
-    averaging paired entries for real-valued states.  Aborts on non-finite
-    values (blow-up or configuration bug).
-    """
-    out = _step_values(state.values, t, cfg, _Background(cfg),
-                       np.empty((3,) + cfg.grid.shape, dtype=np.complex128))
-    if state.real_valued:
-        out = symmetrized_values(out)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteState(f"non-finite state after step at t={t:.6g} (max |g| before: "
-                             f"{float(np.max(np.abs(state.values))):.3e})")
-    return SpectralField(cfg.grid, out, state.real_valued)
 
 
 class _Monitors:
@@ -393,20 +358,3 @@ def run(cfg: SimConfig) -> Trajectory:
         stability=stability,
     )
 
-
-def reconstruct_potential(modes: dict, kernel: InteractionKernel, t: float, x, v):
-    """
-    Mean-field potential generated by the field modes,
-
-        phi(t, x, v) = sum_k p_k z_k(t) exp(i k x) exp(i k t v),
-
-    summed over the active modes of both signs (real for reality-symmetric
-    states).  For the plain cosine interaction this is
-    (1/2) * sum_{k=+-1} z_k(t) exp(ikx + iktv).
-    """
-    xx = np.asarray(x, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    out = np.zeros(np.broadcast(xx, vv).shape, dtype=np.complex128)
-    for k, zk in modes.items():
-        out = out + kernel.coefficient(k) * zk * np.exp(1j * k * (xx + t * vv))
-    return out.real if np.max(np.abs(out.imag)) < 1e-10 * max(1.0, np.max(np.abs(out.real))) else out

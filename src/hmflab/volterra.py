@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import InvariantViolation
 from .penrose import InteractionKernel, memory_kernel, penrose_check
 
 _SUPPORT_TINY = 1e-16  # |K| relative to its peak below which a lag is dropped
@@ -24,7 +25,6 @@ __all__ = [
     "ModeSeries",
     "product_trapezoid",
     "solve_volterra",
-    "solve_field_equation",
     "step_count",
     "weighted_sup",
     "lemvolterra_harness",
@@ -65,20 +65,11 @@ class ModeSeries:
         object.__setattr__(self, "values", vals)
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
     def modes(self) -> list:
         return sorted(self.values)
 
     def mode(self, k: int) -> np.ndarray:
         return self.values[k]
-
-    def restricted(self, t_max: float) -> "ModeSeries":
-        """Copy truncated to times <= t_max."""
-        m = int(np.searchsorted(self.times, t_max + 1e-12 * max(t_max, 1.0), side="right"))
-        return ModeSeries(self.times[:m], {k: v[:m] for k, v in self.values.items()})
 
 
 def _samples(obj, times: np.ndarray) -> np.ndarray:
@@ -171,15 +162,6 @@ def solve_volterra(kernel, forcing, dt: float, t_final: float | None = None,
     return ModeSeries(times, {mode: z})
 
 
-def solve_field_equation(ik: InteractionKernel, prof, forcing: ModeSeries) -> ModeSeries:
-    """Solve the linearized field equation mode by mode with kernels K(n, .)."""
-    out = {}
-    for k in forcing.modes:
-        K = memory_kernel(ik, prof, k, forcing.times)
-        out[k] = product_trapezoid(K, forcing.mode(k), forcing.dt)
-    return ModeSeries(forcing.times, out)
-
-
 def weighted_sup(series: ModeSeries, gamma: float) -> float:
     """
     Discrete surrogate of the weighted mode norm: max over samples and modes
@@ -192,28 +174,23 @@ def weighted_sup(series: ModeSeries, gamma: float) -> float:
     return max(float(np.max(w * np.abs(series.mode(k)))) for k in series.modes)
 
 
-def lemvolterra_harness(ik: InteractionKernel, prof, gammas, t_values,
-                        dt: float = 0.02, forcing_family=None, mode: int = 1):
+def lemvolterra_harness(ik: InteractionKernel, prof, gammas, t_values, dt: float = 0.02, mode: int = 1):
     """
-    Empirical boundedness table for the weighted solve: for each (gamma, T)
-    returns the ratio weighted_sup(solution, gamma) / weighted_sup(forcing,
-    gamma).  A stabilizing ratio as T grows is the uniform-in-time constant
-    the linear theory promises; the state must pass the stability check
-    first (the bound presumes it).
-
-    ``forcing_family(gamma)`` returns a vectorized forcing; the default is
-    F(t) = <t>^{-gamma}.
+    Empirical boundedness table for the weighted solve forced by
+    F(t) = <t>^{-gamma}: for each (gamma, T) returns the ratio
+    weighted_sup(solution, gamma) / weighted_sup(forcing, gamma).  A
+    stabilizing ratio as T grows is the uniform-in-time constant the linear
+    theory promises; a state that fails the stability check is refused with
+    an InvariantViolation (the bound presumes it).
     """
     steps = [step_count(float(t_final), dt) for t_final in t_values]
     report = penrose_check(ik, prof)
     if not report.stable:
-        raise ValueError("harness refused: state fails the stability check; the bound presumes it")
-    if forcing_family is None:
-        forcing_family = lambda g: (lambda t: (1.0 + t * t) ** (-g / 2.0))
+        raise InvariantViolation("harness refused: state fails the stability check; the bound presumes it")
     # one batched march on the longest grid; the march is causal, so each
     # shorter T reads its solution as a prefix
     times = np.arange(max(steps, default=0) + 1) * dt
-    forcings = np.reshape([_samples(forcing_family(g), times) for g in gammas], (len(gammas), times.size))
+    forcings = np.reshape([(1.0 + times * times) ** (-g / 2.0) for g in gammas], (len(gammas), times.size))
     solutions = product_trapezoid(memory_kernel(ik, prof, mode, times), forcings, dt)
     rows = []
     for gamma, f, z in zip(gammas, forcings, solutions):
@@ -221,5 +198,5 @@ def lemvolterra_harness(ik: InteractionKernel, prof, gammas, t_values,
             head = times[:n + 1]
             num = weighted_sup(ModeSeries(head, {mode: z[:n + 1]}), gamma)
             den = weighted_sup(ModeSeries(head, {mode: f[:n + 1]}), gamma)
-            rows.append((float(gamma), float(t_final), num / den if den > 0 else 0.0))
+            rows.append((float(gamma), float(t_final), num / den))
     return rows

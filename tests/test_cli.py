@@ -43,7 +43,7 @@ def run_cli(*args, cwd=None, **env):
 def write_table(directory):
     """A maxwellian tabulated as eta.csv in ``directory``; returns its v grid."""
     v = np.linspace(-12.0, 12.0, 241)
-    H.save_profile_csv(H.maxwellian(1.0), Path(directory) / "eta.csv", v_grid=v)
+    H.save_profile_csv(H.tabulated(v, H.profile_values(H.maxwellian(1.0), v)), Path(directory) / "eta.csv")
     return v
 
 
@@ -265,6 +265,18 @@ class TestSubcommands:
         assert main(["scatter", write_config(tmp_path, dict(TINY, t_final=t_final))]) == EXIT_INVARIANT
         assert capsys.readouterr().err == (f"invariant violation: t_final={t_final} and dt=0.05 leave no |z_1| "
                                            f"fit window: {reason}\n")
+
+    @pytest.mark.parametrize("record_every, samples", [(200, 0), (100, 1)])
+    def test_scatter_refuses_a_fit_on_too_few_snapshots(self, tmp_path, record_every, samples):
+        # snapshots at t = 0 and 10 leave the window [1, 9.8] empty; one more at t = 5 puts one sample in it
+        doc = dict(TINY, n_xi=201, xi_max=12.0, epsilon=0.01, record_every=record_every,
+                   perturbation={"mode": 1, "envelope": "algebraic", "s_tail": 7.0})
+        out = tmp_path / "scat"
+        proc = run_cli("scatter", write_config(tmp_path, doc), "--out", str(out))
+        assert proc.returncode == EXIT_INVARIANT
+        assert proc.stderr == (f"invariant violation: {samples} convergence samples in the scattering fit window "
+                               f"[1, 9.8], need at least 3; use a record_every smaller than {record_every}\n")
+        assert not (out / "rates.json").exists()
 
     def test_volterra_bench_off_grid_time_rejected_at_parse_time(self, tmp_path, capsys):
         doc = dict(TINY, bench={"gammas": [2], "t_list": [10.03], "dt": 0.02})

@@ -33,6 +33,78 @@ def test_checker_sees_private_imports(tmp_path):
     assert private_imports(probe) == [(2, "simulate", "_rhs"), (3, "hmflab.grids", "_lagrange_weights")]
 
 
+ROOT = SRC.parent.parent
+# where an exported name must be used, besides the package's own modules
+CALLERS = (*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py")
+
+
+def _is_all(stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+
+
+def _defines(stmt, name: str) -> bool:
+    """Whether a top-level statement is ``name``'s definition or the ``__all__`` list."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return stmt.name == name
+    return _is_all(stmt)
+
+
+def references(tree: ast.Module, skip: str = "") -> set:
+    """Names a module refers to: Name ids, Attribute attrs and string constants (the
+    tracer looks functions up by name), outside ``__all__`` and the definition of ``skip``."""
+    found = set()
+    for stmt in tree.body:
+        if _defines(stmt, skip):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    return found
+
+
+def exports_without_caller(package: Path, callers) -> list:
+    """(module, name) of every ``__all__`` entry of ``package``'s modules that is referenced
+    neither in its own module outside its definition, nor in another module of the
+    package (``__init__.py`` aside), nor in one of the ``callers`` files."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(package.glob("*.py")) if p.name != "__init__.py"}
+    outside = set().union(*(references(ast.parse(p.read_text(), filename=str(p))) for p in callers))
+    found = []
+    for module, tree in trees.items():
+        names = next((ast.literal_eval(stmt.value) for stmt in tree.body if _is_all(stmt)), [])
+        seen = outside.union(*(references(other) for name, other in trees.items() if name != module))
+        found += [(module, name) for name in names if name not in seen and name not in references(tree, skip=name)]
+    return found
+
+
+def test_every_export_has_a_caller():
+    # a public name that only unit tests reach is surface without a use
+    missing = exports_without_caller(SRC, CALLERS)
+    assert not missing, f"exported names that nothing in src/, demos/, perfbench/ or test_acceptance.py uses: {missing}"
+
+
+def test_checker_sees_exports_without_caller(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .a import unused\nunused()\n")
+    (package / "a.py").write_text(
+        '__all__ = ["self_used", "unused", "recursive", "by_attr", "by_string", "by_name", "Klass"]\n'
+        "def self_used(): pass\ndef unused(): pass\ndef recursive(): return recursive()\n"
+        "def by_attr(): pass\ndef by_string(): pass\ndef by_name(): pass\n"
+        'class Klass:\n    def m(self) -> "Klass": return self\nself_used()\n')
+    (package / "b.py").write_text('__all__ = ["by_name", "orphan"]\nfrom .a import by_name\nby_name()\n'
+                                  "def orphan(): pass\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text('import pkg\npkg.a.by_attr()\nTARGETS = (("a", "by_string"),)\n')
+    assert exports_without_caller(package, [caller]) == [("a", "unused"), ("a", "recursive"), ("a", "Klass"),
+                                                         ("b", "orphan")]
+
+
 MATRIX_PRODUCTS = {"dot", "matmul", "tensordot", "inner", "vdot"}
 
 

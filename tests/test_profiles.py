@@ -134,12 +134,16 @@ class TestProfileCsv:
         v = np.linspace(-8, 8, 801)
         prof = H.maxwellian(1.0)
         path = tmp_path / "profile.csv"
-        H.save_profile_csv(prof, path, v_grid=v)
+        H.save_profile_csv(H.tabulated(v, H.profile_values(prof, v)), path)
         assert path.read_text().splitlines()[0] == "v,eta"
         back = H.load_profile_csv(path)
         assert back.kind == "tabulated"
         assert np.allclose(H.profile_values(back, v[100:700]), H.profile_values(prof, v[100:700]),
                            atol=1e-12)
+
+    def test_closed_form_profile_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="only tabulated"):
+            H.save_profile_csv(H.maxwellian(1.0), tmp_path / "profile.csv")
 
     def test_nonuniform_grid_rejected(self):
         v = np.array([0.0, 1.0, 2.5, 3.0])
@@ -150,34 +154,34 @@ class TestProfileCsv:
 class TestSynthInitial:
     def test_zero_amplitude(self):
         grid = H.make_grid(2, 8.0, 65, 1)
-        f = H.synth_initial(H.Perturbation(mode=1, amplitude=0.0), grid)
+        f = H.synth_initial([H.Perturbation(mode=1, amplitude=0.0)], grid)
         assert np.all(f.values == 0.0)
 
     def test_gaussian_both_rows(self):
         grid = H.make_grid(2, 8.0, 65, 1)
-        f = H.synth_initial(H.Perturbation(mode=1, amplitude=1.0, envelope="gaussian"), grid)
+        f = H.synth_initial([H.Perturbation(mode=1, amplitude=1.0, envelope="gaussian")], grid)
         mid = (grid.n_xi - 1) // 2
         assert f.values[grid.row(1), mid] == pytest.approx(1.0, abs=0)
         assert f.values[grid.row(-1), mid] == pytest.approx(1.0, abs=0)
 
     def test_algebraic_tail_value(self):
         grid = H.make_grid(1, 8.0, 65, 1)
-        f = H.synth_initial(H.Perturbation(mode=1, amplitude=1.0, envelope="algebraic",
-                                           tail_exponent=7.0), grid)
+        f = H.synth_initial([H.Perturbation(mode=1, amplitude=1.0, envelope="algebraic",
+                                            tail_exponent=7.0)], grid)
         j = np.argmin(np.abs(grid.xi - 1.0))
         assert f.values[grid.row(1), j] == pytest.approx(2.0 ** -3.5, rel=1e-14)
 
     def test_mode_out_of_range(self):
         grid = H.make_grid(1, 8.0, 65, 1)
         with pytest.raises(ValueError, match="mode"):
-            H.synth_initial(H.Perturbation(mode=3), grid)
+            H.synth_initial([H.Perturbation(mode=3)], grid)
 
     def test_reality_invariant(self):
         grid = H.make_grid(3, 8.0, 65, 1)
         perts = (H.Perturbation(mode=1, amplitude=0.7),
                  H.Perturbation(mode=2, amplitude=0.3, envelope="algebraic", tail_exponent=5.0))
         f = H.synth_initial(perts, grid)
-        assert H.reality_defect(f) < 1e-15
+        assert np.max(np.abs(f.values[::-1, ::-1] - np.conj(f.values))) < 1e-15
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError, match="amplitude"):
