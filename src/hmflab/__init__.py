@@ -13,10 +13,9 @@ from .grids import (
     SpectralField,
     cubic_interp,
     embedding_constant,
-    interp_point,
     make_grid,
     norm_ladder,
-    shift_rows,
+    shift_add,
     sobolev_norm,
     write_field_csv,
 )

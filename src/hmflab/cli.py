@@ -235,6 +235,7 @@ def cmd_scatter(config_path, out: str | None) -> int:
         fit_window(np.arange(cfg.n_steps + 1) * cfg.dt, zeta_window)
     except ValueError as exc:
         raise InvariantViolation(f"t_final={cfg.t_final} and dt={cfg.dt} leave no |z_1| fit window: {exc}") from exc
+    _scattering_samples(cfg)
     traj = run(cfg)
     result = scattering_limit(traj)
     zeta_slope, zeta_r2 = decay_fit(traj.field_modes, zeta_window, mode=1)
@@ -362,7 +363,7 @@ def scattering_run_config() -> SimConfig:
     """Short fine-step run for the scattering-rate preset.
 
     The convergence is measured against the run's own final state,
-    g_inf(T) = g(T), on up to 64 log-spaced snapshots (measure_scattering).
+    g_inf(T) = g(T), on up to 64 log-spaced snapshots (_scattering_samples).
     """
     grid = make_grid(2, 44.0, 881, 1)
     return SimConfig(grid=grid, kernel=InteractionKernel.cosine(), profile=maxwellian(1.0),
@@ -371,19 +372,27 @@ def scattering_run_config() -> SimConfig:
                      epsilon=0.01, dt=0.01, t_final=20.0, record_every=1, s=7)
 
 
-def measure_scattering(traj, result) -> tuple:
-    """(slope, window) of log ||g(t) - g_inf||_{H^1} against log t on [T/10, 0.98 T]; the
-    window stops short of T, where the distance to g_inf(T) = g(T) vanishes.  A ValueError
-    unless the recorded snapshots put at least 3 samples in the window."""
-    cfg = traj.config
+def _scattering_samples(cfg: SimConfig) -> tuple:
+    """(snapshot indices, window) of the scattering fit, fixed by the snapshot schedule before
+    the run: of up to 64 log-spaced snapshots after t = 0, those in [T/10, 0.98 T], short of T
+    where the distance to g_inf(T) = g(T) vanishes.  An InvariantViolation unless there are 3."""
+    steps = cfg.snapshot_steps
+    idx = np.unique(np.round(np.geomspace(1, steps.size - 1, 64)).astype(int))
     window = (cfg.t_final / 10.0, 0.98 * cfg.t_final)
-    conv_t, conv = convergence_series(traj, result.field)
-    sel = (conv_t >= window[0]) & (conv_t <= window[1])
-    if np.count_nonzero(sel) < 3:
-        raise ValueError(f"{np.count_nonzero(sel)} convergence samples in the scattering fit window "
-                         f"[{window[0]:.6g}, {window[1]:.6g}], need at least 3; use a record_every "
-                         f"smaller than {cfg.record_every}")
-    slope = np.polyfit(np.log(conv_t[sel]), np.log(np.maximum(conv[sel], 1e-300)), 1)[0]
+    t = steps[idx] * cfg.dt
+    idx = idx[(t >= window[0]) & (t <= window[1])]
+    if idx.size < 3:
+        raise InvariantViolation(f"{idx.size} convergence samples in the scattering fit window "
+                                 f"[{window[0]:.6g}, {window[1]:.6g}], need at least 3; use a record_every "
+                                 f"smaller than {cfg.record_every}")
+    return idx, window
+
+
+def measure_scattering(traj, result) -> tuple:
+    """(slope, window) of log ||g(t) - g_inf||_{H^1} against log t on _scattering_samples."""
+    idx, window = _scattering_samples(traj.config)
+    conv_t, conv = convergence_series(traj, result.field, idx)
+    slope = np.polyfit(np.log(conv_t), np.log(np.maximum(conv, 1e-300)), 1)[0]
     return float(slope), window
 
 

@@ -192,10 +192,8 @@ def scattering_limit(traj: Trajectory, up_to: float | None = None,
     return ScatteringResult(field=traj.snapshots[i], tail_estimate=float(tail), t_final=t_final)
 
 
-def convergence_series(traj: Trajectory, g_inf: SpectralField) -> tuple:
-    """(times, ||g(t) - g_inf||_{H^1}) on up to 64 log-spaced snapshots after t = 0."""
-    n = len(traj.snapshots) - 1
-    idx = np.unique(np.round(np.geomspace(1, n, 64)).astype(int))
+def convergence_series(traj: Trajectory, g_inf: SpectralField, idx: np.ndarray) -> tuple:
+    """(times, ||g(t) - g_inf||_{H^1}) at the snapshots of index ``idx``."""
     vals = np.empty(idx.size)
     for j, i in enumerate(idx):
         diff = SpectralField(g_inf.grid, traj.snapshots[i].values - g_inf.values, real_valued=False)

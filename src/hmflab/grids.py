@@ -43,8 +43,7 @@ __all__ = [
     "SpectralField",
     "make_grid",
     "cubic_interp",
-    "interp_point",
-    "shift_rows",
+    "shift_add",
     "sobolev_norm",
     "norm_ladder",
     "embedding_constant",
@@ -151,54 +150,20 @@ class SpectralField:
 
     def interp(self, n: int, targets):
         """Cubic interpolation of mode n at frequencies ``targets``."""
-        if abs(n) > self.grid.n_max:
-            out = np.zeros_like(np.atleast_1d(np.asarray(targets, dtype=float)), dtype=np.complex128)
-            return out[0] if np.isscalar(targets) else out
         return cubic_interp(self.mode(n), self.grid, targets)
 
 
 def _lagrange_weights(th):
-    """Four-point Lagrange weights at fractional offset ``th`` (scalar or array)."""
+    """Four-point Lagrange weights at fractional offset ``th``."""
     return (-th * (th - 1.0) * (th - 2.0) / 6.0,
             (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0,
             -th * (th + 1.0) * (th - 2.0) / 2.0,
             th * (th + 1.0) * (th - 1.0) / 6.0)
 
 
-def cubic_interp(row: np.ndarray, grid: PhaseGrid, targets):
-    """
-    Four-point Lagrange interpolation of one mode row on the uniform xi grid.
-
-    The row is extended by zeros beyond the grid, matching the truncation
-    semantics; targets with |xi| > xi_max return exactly 0.  On-node targets
-    reproduce the stored value.
-    """
-    scalar = np.isscalar(targets)
-    t = np.atleast_1d(np.asarray(targets, dtype=float))
-    pos = (t + grid.xi_max) / grid.dxi
-    i0 = np.floor(pos).astype(np.int64)
-    th = pos - i0
-
-    padded = np.zeros(grid.n_xi + 4, dtype=np.complex128)
-    padded[2:-2] = row
-    base = np.clip(i0 + 2, 1, grid.n_xi + 1)
-
-    wm1, w0, w1, w2 = _lagrange_weights(th)
-    out = (wm1 * padded[base - 1] + w0 * padded[base]
-           + w1 * padded[base + 1] + w2 * padded[base + 2])
-    out[np.abs(t) > grid.xi_max] = 0.0
-    return out[0] if scalar else out
-
-
-def interp_point(row: np.ndarray, grid: PhaseGrid, target: float) -> complex:
-    """
-    :func:`cubic_interp` at one target, in Python scalars.
-
-    Same position, clipping, weight formulas and summation order as the
-    array path, so the result is bitwise equal; it only skips the array
-    set-up, which dominates the cost of a single read.
-    """
-    x = float(target)
+def _read(row: np.ndarray, grid: PhaseGrid, x: float) -> complex:
+    """The four-tap read of ``row`` at one target, in Python scalars: the
+    set-up of an array expression would cost more than the read itself."""
     if abs(x) > grid.xi_max:
         return 0j
     n = grid.n_xi
@@ -210,28 +175,42 @@ def interp_point(row: np.ndarray, grid: PhaseGrid, target: float) -> complex:
     return wm1 * taps[0] + w0 * taps[1] + w1 * taps[2] + w2 * taps[3]
 
 
-def shift_rows(block: np.ndarray, grid: PhaseGrid, shift: float) -> np.ndarray:
+def cubic_interp(row: np.ndarray, grid: PhaseGrid, targets):
     """
-    Every row of ``block`` read at ``xi - shift``: one four-tap stencil.
+    Four-point Lagrange interpolation of one mode row on the uniform xi grid.
+
+    The row is extended by zeros beyond the grid, matching the truncation
+    semantics; targets with |xi| > xi_max return exactly 0.  On-node targets
+    reproduce the stored value.  A scalar target gives a complex, an array of
+    targets an array of their shape (at least 1-D), read one target at a time.
+    """
+    if np.isscalar(targets):
+        return _read(row, grid, float(targets))
+    t = np.atleast_1d(np.asarray(targets, dtype=float))
+    return np.fromiter((_read(row, grid, x) for x in t.flat), np.complex128, t.size).reshape(t.shape)
+
+
+def shift_add(out: np.ndarray, block: np.ndarray, grid: PhaseGrid, shift: float, scale: complex) -> None:
+    """
+    Add ``scale`` times every row of ``block`` read at ``xi - shift`` into ``out``.
 
     On the uniform grid the fractional offset of ``xi_j - shift`` is the same
-    for every node, so all rows share one floor and four scalar weights
-    (the semi-Lagrangian shift).  Zero extension beyond the grid and the
-    exact zeros for ``|xi_j - shift| > xi_max`` are those of
-    :func:`cubic_interp`, which this matches to roundoff.
+    for every node, so all rows share one floor and four scalar weights (the
+    semi-Lagrangian shift), and each tap is one scaled slice added in place.
+    Zero extension beyond the grid and the exact zeros for
+    ``|xi_j - shift| > xi_max`` are those of :func:`cubic_interp`, which this
+    matches to roundoff.
     """
     n = grid.n_xi
     x = -float(shift) / grid.dxi
     f = math.floor(x)
-    out = np.zeros(block.shape, dtype=np.complex128)
     t = grid.xi - shift
     lo = int(np.searchsorted(t, -grid.xi_max, side="left"))
     hi = int(np.searchsorted(t, grid.xi_max, side="right"))
     for tap, w in zip(range(f - 1, f + 3), _lagrange_weights(x - f)):
         a, b = max(lo, -tap), min(hi, n - tap)
         if a < b:
-            out[..., a:b] += w * block[..., a + tap:b + tap]
-    return out
+            out[..., a:b] += (scale * w) * block[..., a + tap:b + tap]
 
 
 def _weight_stencil(u: np.ndarray) -> np.ndarray:

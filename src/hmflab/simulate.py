@@ -9,12 +9,12 @@ In the filtered ("gliding") frame the transform ghat_n(t, xi) obeys
 
 where z_k(t) = ghat_k(t, k t) are the self-consistent field modes and the sum
 runs over the active interaction modes.  Free transport is filtered exactly,
-so the only motion in xi is through shifted reads xi - k t: one fractional
-offset per mode k, applied to every row as a four-tap cubic Lagrange stencil
-with zero extension (``grids.shift_rows``).  Time stepping is classical 4-stage
-Runge-Kutta; the field modes are re-extracted from the stage states at stage
-times, which is what keeps the scheme at order 4 (extracting them once per
-step would drop it to order 1).
+so the state is read with one four-tap cubic Lagrange stencil (zero extension)
+in two ways only: at the points xi = k t (``grids.cubic_interp``), and along
+whole rows at xi - k t, added tap by tap into the rhs (``grids.shift_add``).
+Time stepping is classical 4-stage Runge-Kutta; the field modes are read from
+the stage states at stage times, which keeps the scheme at order 4, and once
+per state: a step's k1 takes the modes recorded for the state it starts from.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import (InvariantViolation, PhaseGrid, SpectralField, interp_point, make_grid, norm_ladder,
-                    shift_rows, symmetrized_values)
+from .grids import (InvariantViolation, PhaseGrid, SpectralField, cubic_interp, make_grid, norm_ladder,
+                    shift_add, symmetrized_values)
 from .penrose import InteractionKernel, PenroseReport, penrose_check
 from .profiles import HomogeneousProfile, Perturbation, profile_hat, synth_initial
 from .volterra import ModeSeries
@@ -75,6 +75,11 @@ class SimConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
+
+    @property
+    def snapshot_steps(self) -> np.ndarray:
+        """The steps at which run() records a snapshot: every ``record_every``-th and the last."""
+        return np.union1d(np.arange(0, self.n_steps + 1, self.record_every), [self.n_steps])
 
     def validate(self) -> None:
         g = self.grid
@@ -141,7 +146,7 @@ def extract_field_modes(values: np.ndarray, t: float, kernel: InteractionKernel,
             raise RuntimeError(
                 f"field-mode read xi = {target:.6g} for mode {k} leaves the safe window "
                 f"|xi| <= xi_max - 2*dxi = {grid.xi_max - 2 * grid.dxi:.6g}; enlarge xi_max")
-        out[k] = interp_point(values[grid.row(k)], grid, target)
+        out[k] = cubic_interp(values[grid.row(k)], grid, target)
     return out
 
 
@@ -151,9 +156,9 @@ class _Background:
     per (|n|, t) at the exact float t.
 
     Only the rows of the latest stage time are held: k2 and k3 share t + dt/2,
-    and k4's t + dt serves the next step's k1 whenever it equals that step's
-    time bitwise.  Row -n is conj(row n) reversed: xi is bitwise antisymmetric,
-    and etahat(-x) = conj(etahat(x)) bitwise for a real profile.
+    and k4, evaluated at the next step's time, serves that step's k1.  Row -n
+    is conj(row n) reversed: xi is bitwise antisymmetric, and
+    etahat(-x) = conj(etahat(x)) bitwise for a real profile.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -172,25 +177,21 @@ class _Background:
         return hat if n >= 0 else np.conj(hat)[::-1]
 
 
-def _rhs(values: np.ndarray, t: float, cfg: SimConfig, background: _Background,
-         out: np.ndarray | None = None) -> np.ndarray:
-    """The module equation's right-hand side, written into ``out`` when given
-    (a complex buffer of the grid's shape that does not alias ``values``)."""
+def _rhs(values: np.ndarray, t: float, modes: dict, cfg: SimConfig, background: _Background,
+         out: np.ndarray) -> np.ndarray:
+    """The module equation's right-hand side at the field modes ``modes`` of ``values`` at t,
+    written into ``out`` (a complex buffer of the grid's shape that does not alias ``values``)."""
     grid = cfg.grid
     kernel = cfg.kernel
-    modes = extract_field_modes(values, t, kernel, grid)
     xi = grid.xi
     n_max = grid.n_max
-    if out is None:
-        out = np.zeros_like(values)
-    else:
-        out.fill(0.0)
+    out.fill(0.0)
     if cfg.epsilon != 0.0:
-        # mode k moves source row m = n - k to row n: one shifted block per k
+        # mode k moves source row m = n - k to row n: one shifted block added per k
         for k, zk in modes.items():
             lo, hi = max(-n_max, k - n_max), min(n_max, k + n_max)
-            shifted = shift_rows(values[grid.row(lo - k):grid.row(hi - k) + 1], grid, k * t)
-            out[grid.row(lo):grid.row(hi) + 1] += (-k * kernel.coefficient(k) * zk) * shifted
+            shift_add(out[grid.row(lo):grid.row(hi) + 1], values[grid.row(lo - k):grid.row(hi - k) + 1],
+                      grid, k * t, -k * kernel.coefficient(k) * zk)
         out *= cfg.epsilon * (xi - grid.modes[:, None] * t)
     for n, zn in modes.items():
         base = xi - n * t
@@ -200,14 +201,17 @@ def _rhs(values: np.ndarray, t: float, cfg: SimConfig, background: _Background,
 
 def assemble_rhs(state: SpectralField, t: float, cfg: SimConfig) -> SpectralField:
     """Time derivative of the state at time t (see the module equation)."""
-    return SpectralField(cfg.grid, _rhs(state.values, t, cfg, _Background(cfg)), state.real_valued)
+    modes = extract_field_modes(state.values, t, cfg.kernel, cfg.grid)
+    out = _rhs(state.values, t, modes, cfg, _Background(cfg), np.empty_like(state.values))
+    return SpectralField(cfg.grid, out, state.real_valued)
 
 
-def _step_values(values: np.ndarray, t: float, cfg: SimConfig, background: _Background,
-                 buf: np.ndarray) -> np.ndarray:
+def _step_values(values: np.ndarray, t: float, t_next: float, modes: dict, cfg: SimConfig,
+                 background: _Background, buf: np.ndarray) -> np.ndarray:
     """
-    One RK4 step from ``values`` at t, returned in ``buf[0]``.
-
+    One RK4 step from ``values`` at t to t_next, returned in ``buf[0]``.  k1
+    takes ``modes``, the field modes of ``values``; k4 is evaluated at the
+    next step's start time t_next, which can differ from t + dt by one ulp.
     ``buf`` is complex scratch of shape ``(3,) + grid.shape`` (accumulator,
     stage derivative, stage state), so the step allocates nothing of the
     grid's size.  The operations are those of values + (dt/6)(k1 + 2 k2 +
@@ -216,15 +220,19 @@ def _step_values(values: np.ndarray, t: float, cfg: SimConfig, background: _Back
     """
     dt = cfg.dt
     acc, k, stage = buf
-    k1 = _rhs(values, t, cfg, background, out=acc)
+
+    def rhs(state, ts, out):
+        return _rhs(state, ts, extract_field_modes(state, ts, cfg.kernel, cfg.grid), cfg, background, out)
+
+    k1 = _rhs(values, t, modes, cfg, background, acc)
     np.add(values, np.multiply(0.5 * dt, k1, out=stage), out=stage)
-    k2 = _rhs(stage, t + 0.5 * dt, cfg, background, out=k)
+    k2 = rhs(stage, t + 0.5 * dt, k)
     np.add(values, np.multiply(0.5 * dt, k2, out=stage), out=stage)
     np.add(k1, np.multiply(2.0, k2, out=k2), out=acc)
-    k3 = _rhs(stage, t + 0.5 * dt, cfg, background, out=k)
+    k3 = rhs(stage, t + 0.5 * dt, k)
     np.add(values, np.multiply(dt, k3, out=stage), out=stage)
     np.add(acc, np.multiply(2.0, k3, out=k3), out=acc)
-    k4 = _rhs(stage, t + dt, cfg, background, out=k)
+    k4 = rhs(stage, t_next, k)
     np.add(acc, k4, out=acc)
     np.multiply(dt / 6.0, acc, out=acc)
     return np.add(values, acc, out=acc)
@@ -315,35 +323,37 @@ def run(cfg: SimConfig) -> Trajectory:
     defects = np.empty(n_steps + 1)
     snapshots = []
     snapshot_times = []
+    snapshot_due = set(cfg.snapshot_steps.tolist())
 
-    def record(i: int, t: float, values: np.ndarray, defect: float) -> None:
+    def record(i: int, t: float, values: np.ndarray, defect: float) -> dict:
         zk = extract_field_modes(values, t, cfg.kernel, grid)
         for k in active:
             zeta[k][i] = zk[k]
         mass[i], l2[i], ladder[i] = monitors.sample(values)
         defects[i] = defect
-        if i % cfg.record_every == 0 or i == n_steps:
+        if i in snapshot_due:
             full[band_rows] = values
             snapshots.append(SpectralField(configured, full, real_valued=True))
             snapshot_times.append(t)
+        return zk      # the next step's k1 takes the modes of this state
 
     # the step and the drift check write into these buffers and the state is
     # overwritten in place: neither allocates anything of the grid's size
     buf = np.empty((3,) + grid.shape, dtype=np.complex128)
     finite = np.empty(grid.shape, dtype=bool)
     defect = np.empty(grid.shape)
-    record(0, 0.0, state, 0.0)
+    modes = record(0, 0.0, state, 0.0)
     # a state that blows up overflows inside the step; the isfinite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
-            raw = _step_values(state, times[i - 1], band, background, buf)
+            raw = _step_values(state, times[i - 1], times[i], modes, band, background, buf)
             if not np.isfinite(raw, out=finite).all():
                 raise NonFiniteState(f"non-finite state at t={times[i]:.6g} (step {i}); aborting run")
             # per-step symmetry drift, measured before the averaging re-enforces it
             diff = np.subtract(raw[::-1, ::-1], np.conjugate(raw, out=buf[2]), out=buf[2])
             drift = float(np.max(np.abs(diff, out=defect)))
             symmetrized_values(raw, out=state)
-            record(i, times[i], state, drift)
+            modes = record(i, times[i], state, drift)
 
     return Trajectory(
         config=cfg,

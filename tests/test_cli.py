@@ -267,6 +267,16 @@ class TestSubcommands:
                                            f"fit window: {reason}\n")
 
     @pytest.mark.parametrize("record_every, samples", [(200, 0), (100, 1)])
+    def test_scatter_checks_its_snapshot_schedule_before_it_runs(self, tmp_path, monkeypatch, capsys,
+                                                                 record_every, samples):
+        monkeypatch.setattr("hmflab.cli.run", lambda cfg: pytest.fail("scatter ran the simulation"))
+        doc = dict(TINY, n_xi=201, xi_max=12.0, epsilon=0.01, record_every=record_every)
+        assert main(["scatter", write_config(tmp_path, doc)]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == (f"invariant violation: {samples} convergence samples in the scattering "
+                                           f"fit window [1, 9.8], need at least 3; use a record_every smaller "
+                                           f"than {record_every}\n")
+
+    @pytest.mark.parametrize("record_every, samples", [(200, 0), (100, 1)])
     def test_scatter_refuses_a_fit_on_too_few_snapshots(self, tmp_path, record_every, samples):
         # snapshots at t = 0 and 10 leave the window [1, 9.8] empty; one more at t = 5 puts one sample in it
         doc = dict(TINY, n_xi=201, xi_max=12.0, epsilon=0.01, record_every=record_every,

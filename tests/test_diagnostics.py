@@ -168,7 +168,8 @@ class TestScatteringLimit:
 
     def test_convergence_series_on_log_spaced_snapshots(self, small_run):
         res = H.scattering_limit(small_run)
-        times, dist = H.convergence_series(small_run, res.field)
+        idx = np.unique(np.round(np.geomspace(1, len(small_run.snapshots) - 1, 64)).astype(int))
+        times, dist = H.convergence_series(small_run, res.field, idx)
         snap_t = small_run.snapshot_times
         assert len(times) <= 64 and np.all(np.diff(times) > 0)
         assert times[0] == snap_t[1] and times[-1] == snap_t[-1]

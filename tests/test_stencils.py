@@ -2,9 +2,10 @@
 Hot-path stencils cross-checked against per-node loop references.
 
 ``slow_norm_ladder`` applies the weight stencil to every xi^q ghat, one
-order q at a time; ``slow_rhs`` interpolates each (n, k) pair of rows with
-``cubic_interp``.  ``grids.norm_ladder``, ``grids.shift_rows``,
-``grids.interp_point`` and the right-hand side must agree with them.
+order q at a time; ``slow_cubic_interp`` reads a zero-padded copy of a row
+at all targets in one array expression; ``slow_rhs`` interpolates each
+(n, k) pair of rows with it.  ``grids.norm_ladder``, ``grids.cubic_interp``,
+``grids.shift_add`` and the right-hand side must agree with them.
 """
 
 import warnings
@@ -56,6 +57,26 @@ def slow_norm_ladder(field, max_order):
     return np.sqrt(norms2)
 
 
+def slow_cubic_interp(row, grid, targets):
+    """Four-point Lagrange reads of the zero-padded row, every target in one array expression."""
+    scalar = np.isscalar(targets)
+    t = np.atleast_1d(np.asarray(targets, dtype=float))
+    pos = (t + grid.xi_max) / grid.dxi
+    i0 = np.floor(pos).astype(np.int64)
+    th = pos - i0
+    padded = np.zeros(grid.n_xi + 4, dtype=np.complex128)
+    padded[2:-2] = row
+    base = np.clip(i0 + 2, 1, grid.n_xi + 1)
+    wm1 = -th * (th - 1.0) * (th - 2.0) / 6.0
+    w0 = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
+    w1 = -th * (th + 1.0) * (th - 2.0) / 2.0
+    w2 = th * (th + 1.0) * (th - 1.0) / 6.0
+    out = (wm1 * padded[base - 1] + w0 * padded[base]
+           + w1 * padded[base + 1] + w2 * padded[base + 2])
+    out[np.abs(t) > grid.xi_max] = 0.0
+    return out[0] if scalar else out
+
+
 def slow_rhs(values, t, cfg):
     grid = cfg.grid
     kernel = cfg.kernel
@@ -75,7 +96,7 @@ def slow_rhs(values, t, cfg):
                 m = n - k
                 if abs(m) > grid.n_max:
                     continue
-                shifted = H.cubic_interp(values[grid.row(m)], grid, xi - k * t)
+                shifted = slow_cubic_interp(values[grid.row(m)], grid, xi - k * t)
                 term = (-k * kernel.coefficient(k) * modes[k]) * shifted
                 nl = term if nl is None else nl + term
             if nl is not None:
@@ -178,16 +199,17 @@ def shift_cases(grid):
     return out
 
 
-class TestShiftRows:
+class TestShiftAdd:
     @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=["dxi0.125", "dxi0.06"])
     def test_matches_cubic_interp(self, grid):
         vals = random_band_limited(np.random.default_rng(11), grid).values
         scale = np.max(np.abs(vals))
         for shift in shift_cases(grid):
-            got = H.shift_rows(vals, grid, shift)
+            got = np.zeros_like(vals)
+            H.shift_add(got, vals, grid, shift, 1.0)
             outside = np.abs(grid.xi - shift) > grid.xi_max
             for i, row in enumerate(vals):
-                ref = H.cubic_interp(row, grid, grid.xi - shift)
+                ref = slow_cubic_interp(row, grid, grid.xi - shift)
                 assert np.max(np.abs(got[i] - ref)) <= 1e-13 * scale, f"shift {shift!r}"
                 assert np.all(ref[outside] == 0)
             assert np.all(got[:, outside] == 0), f"shift {shift!r}"
@@ -195,13 +217,27 @@ class TestShiftRows:
     def test_whole_cell_shift_is_a_copy(self):
         grid = SHIFT_GRIDS[0]
         vals = noise_field(np.random.default_rng(2), grid).values
-        got = H.shift_rows(vals, grid, 5 * grid.dxi)
+        got = np.zeros_like(vals)
+        H.shift_add(got, vals, grid, 5 * grid.dxi, 1.0)
         assert np.array_equal(got[:, 5:], vals[:, :-5])
         assert np.all(got[:, :5] == 0)
 
+    @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=["dxi0.125", "dxi0.06"])
+    def test_adds_scaled_shift_into_out(self, grid):
+        rng = np.random.default_rng(12)
+        vals = noise_field(rng, grid).values
+        out0 = noise_field(rng, grid).values
+        scale = 0.3 - 1.7j
+        for shift in (0.37 * grid.dxi, -2.61 * grid.dxi, 40 * grid.dxi, grid.xi_max - 0.5 * grid.dxi):
+            got = out0.copy()
+            H.shift_add(got, vals, grid, shift, scale)
+            shifted = np.array([slow_cubic_interp(row, grid, grid.xi - shift) for row in vals])
+            ref = out0 + scale * shifted
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), f"shift {shift!r}"
 
-class TestInterpPoint:
-    def test_bitwise_equal_to_array_path(self):
+
+class TestCubicInterp:
+    def test_bitwise_equal_to_slow_path(self):
         grid = SHIFT_GRIDS[1]
         row = noise_field(np.random.default_rng(4), grid).values[0]
         rng = np.random.default_rng(5)
@@ -211,9 +247,40 @@ class TestInterpPoint:
                     grid.xi_max - 0.3 * grid.dxi, -grid.xi_max + 0.7 * grid.dxi]  # edge cells
         targets += [np.nextafter(grid.xi_max, np.inf), -grid.xi_max - grid.dxi, 50.0]  # outside
         for x in targets:
-            fast = H.interp_point(row, grid, x)
-            assert fast == complex(H.cubic_interp(row, grid, float(x))), repr(x)
-            assert fast == complex(H.cubic_interp(row, grid, np.array([x]))[0]), repr(x)
+            ref = complex(slow_cubic_interp(row, grid, float(x)))
+            assert H.cubic_interp(row, grid, float(x)) == ref, repr(x)
+            assert H.cubic_interp(row, grid, np.float64(x)) == ref, repr(x)
+        got = H.cubic_interp(row, grid, np.array(targets))
+        assert np.array_equal(got, slow_cubic_interp(row, grid, np.array(targets)))
+
+    @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=["dxi0.125", "dxi0.06"])
+    def test_bitwise_equal_to_slow_path_at_shifted_nodes(self, grid):
+        row = noise_field(np.random.default_rng(6), grid).values[1]
+        for shift in shift_cases(grid):
+            targets = grid.xi - shift
+            ref = slow_cubic_interp(row, grid, targets)
+            assert np.array_equal(H.cubic_interp(row, grid, targets), ref), f"shift {shift!r}"
+            for j in (0, 1, grid.n_xi // 3, grid.n_xi - 2, grid.n_xi - 1):
+                assert H.cubic_interp(row, grid, float(targets[j])) == ref[j], f"shift {shift!r}, node {j}"
+
+    def test_array_targets_keep_their_shape(self):
+        grid = SHIFT_GRIDS[0]
+        row = noise_field(np.random.default_rng(7), grid).values[2]
+        targets = np.linspace(-9.0, 9.0, 12).reshape(3, 4)
+        got = H.cubic_interp(row, grid, targets)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), slow_cubic_interp(row, grid, targets.ravel()))
+        assert H.cubic_interp(row, grid, np.array(0.3)).shape == (1,)
+
+    def test_mode_beyond_n_max_reads_zeros(self):
+        grid = SHIFT_GRIDS[0]
+        field = noise_field(np.random.default_rng(8), grid)
+        for n in (grid.n_max + 1, -grid.n_max - 3):
+            assert field.interp(n, 0.3) == 0
+            for targets in (grid.xi, grid.xi[:7].reshape(7, 1), [0.1, -0.2]):
+                got = field.interp(n, targets)
+                assert got.shape == np.shape(targets)
+                assert np.all(got == 0)
 
 
 def rhs_config(coefficients, n_max, xi_max, n_xi, epsilon):
@@ -242,4 +309,20 @@ class TestRhs:
         for t in (0.0, 0.3, 1.7, 4.1):
             modes = H.extract_field_modes(vals, t, cfg.kernel, cfg.grid)
             for k, zk in modes.items():
-                assert zk == complex(H.cubic_interp(vals[cfg.grid.row(k)], cfg.grid, float(k * t)))
+                assert zk == complex(slow_cubic_interp(vals[cfg.grid.row(k)], cfg.grid, float(k * t)))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_run_reads_each_state_once(self, epsilon, monkeypatch):
+        # the initial record, then per step: k2, k3, k4 and the record of the
+        # new state, whose modes the next k1 takes as they are
+        calls = []
+        extract = H.simulate.extract_field_modes
+
+        def counted(*args):
+            calls.append(args)
+            return extract(*args)
+
+        monkeypatch.setattr(H.simulate, "extract_field_modes", counted)
+        cfg = rhs_config((0.5,), 3, 24.0, 481, epsilon)
+        H.run(cfg)
+        assert len(calls) == 1 + 4 * cfg.n_steps
