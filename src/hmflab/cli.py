@@ -175,15 +175,17 @@ def _out_dir(out: str | None, tag: str) -> Path:
 
 
 def write_timeseries_csv(traj, path) -> None:
-    """Per-step series with the contract columns."""
+    """Per-step series with the contract columns, one row per step.  The ladder columns h_smin4
+    and h_s (H^{s-4} and H^s) are taken at the snapshot steps and read nan at every other step."""
     s = traj.config.s
     z1 = traj.field_modes.mode(1)
+    ladder = np.full((traj.times.size, 2), np.nan)
+    ladder[traj.config.snapshot_steps] = traj.norm_history[:, [max(s - 4, 0), s]]
     write_series_csv(
         path,
         "t,re_zeta1,im_zeta1,abs_zeta1,mass_re,mass_im,l2_full,h_smin4,h_s",
         [traj.times, z1.real, z1.imag, np.abs(z1),
-         traj.mass_series.real, traj.mass_series.imag, traj.l2_series,
-         traj.norm_history[:, max(s - 4, 0)], traj.norm_history[:, s]],
+         traj.mass_series.real, traj.mass_series.imag, traj.l2_series, ladder[:, 0], ladder[:, 1]],
     )
 
 

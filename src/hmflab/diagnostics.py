@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SpectralField, sobolev_norm
+from .grids import InvariantViolation, SpectralField, sobolev_norm
 from .profiles import HomogeneousProfile, fourier_sum, profile_values, tabulated
 from .simulate import Trajectory, assemble_rhs
 from .volterra import ModeSeries
@@ -44,11 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormMonitor:
-    """Composite weighted-norm monitor sampled along a trajectory."""
+    """Composite weighted-norm monitor sampled at a trajectory's snapshot times."""
 
     s: int
     m_kernel: int
-    times: np.ndarray
+    times: np.ndarray             # the snapshot times; each series below is sampled at them
     growth_part: np.ndarray
     mode_part: np.ndarray
     low_part: np.ndarray
@@ -60,27 +60,35 @@ class NormMonitor:
         return float(self.q_series[-1])
 
     def growth_from_halfway(self) -> float:
-        """q_sup(T) / q_sup(T/2); values near 1 mean the monitor has saturated."""
+        """q_sup(T) / q_sup(T/2), with T/2 read at the first snapshot at or after it; values
+        near 1 mean the monitor has saturated.  An InvariantViolation when that snapshot is the
+        last one, where the ratio is 1 by construction."""
         half = int(np.searchsorted(self.times, 0.5 * self.times[-1]))
-        half = min(max(half, 1), len(self.times) - 1)
+        if half == len(self.times) - 1:
+            raise InvariantViolation(f"no snapshot between T/2 = {0.5 * self.times[-1]:.6g} and T = "
+                                     f"{self.times[-1]:.6g}: q_sup(T)/q_sup(T/2) would be 1 by construction; "
+                                     f"use a smaller record_every")
         return float(self.q_series[-1] / self.q_series[half])
 
 
 def q_monitor(traj: Trajectory) -> NormMonitor:
     """
-    Evaluate the composite monitor along a trajectory, at the run's monitor
-    index s with M the kernel's number of modes.  Grid-truncated norms are
-    lower bounds of the true ones, so the edge tail fraction is reported to
-    make under-resolution visible.
+    Evaluate the composite monitor at the trajectory's snapshot times, where
+    run() takes the norm ladder, at the run's monitor index s with M the
+    kernel's number of modes.  The mode part is known at every step: q_series
+    adds its running max over all steps, so the sup sees every step.
+    Grid-truncated norms are lower bounds of the true ones, so the edge tail
+    fraction is reported to make under-resolution visible.
     """
     cfg = traj.config
     s = cfg.s
     m = cfg.kernel.n_modes
     low_order = max(s - 2 * m - 2, 0)
 
+    steps = cfg.snapshot_steps
     t = traj.times
     w = np.sqrt(1.0 + t * t)
-    growth = traj.norm_history[:, s] / w ** (2 * m + 1)
+    growth = traj.norm_history[:, s] / w[steps] ** (2 * m + 1)
     low = traj.norm_history[:, low_order]
 
     mode_part = np.zeros_like(t)
@@ -89,7 +97,7 @@ def q_monitor(traj: Trajectory) -> NormMonitor:
         mode_part = np.maximum(mode_part, weight * np.abs(traj.field_modes.mode(k)))
 
     q_series = (np.maximum.accumulate(growth)
-                + np.maximum.accumulate(mode_part)
+                + np.maximum.accumulate(mode_part)[steps]
                 + np.maximum.accumulate(low))
 
     last = traj.snapshots[-1]
@@ -100,8 +108,8 @@ def q_monitor(traj: Trajectory) -> NormMonitor:
     total = float(np.sum(weighted))
     tail = edge / total if total > 0 else 0.0
 
-    return NormMonitor(s=s, m_kernel=m, times=t, growth_part=growth,
-                       mode_part=mode_part, low_part=low, q_series=q_series,
+    return NormMonitor(s=s, m_kernel=m, times=traj.snapshot_times, growth_part=growth,
+                       mode_part=mode_part[steps], low_part=low, q_series=q_series,
                        edge_tail_fraction=tail)
 
 

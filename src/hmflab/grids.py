@@ -281,7 +281,7 @@ def norm_ladder(field: SpectralField | np.ndarray, max_order: int, *, grid: Phas
     caller that holds its state in a buffer the copy a SpectralField makes.
     ``work``, when given, is a float array of shape ``(4,) + grid.shape``
     that the call uses as scratch for its grid-size intermediates instead of
-    allocating them; a caller that takes the ladder at every step keeps one.
+    allocating them; a caller that takes the ladder repeatedly keeps one.
 
     Returns
     -------

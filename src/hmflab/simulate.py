@@ -50,7 +50,8 @@ class SimConfig:
     Full description of one simulation.
 
     ``s`` is the regularity index used by the norm monitors; the norm ladder
-    H^0..H^s is logged at every step.  The frequency window must satisfy
+    H^0..H^s is taken with the snapshots, at ``snapshot_steps``, the one
+    record schedule (``record_every`` sets it).  The frequency window must satisfy
     xi_max >= n_max * t_final + 4*dxi so the self-consistent reads xi = k*t
     and all shifted reads stay interpolable for the whole run.
     """
@@ -78,7 +79,7 @@ class SimConfig:
 
     @property
     def snapshot_steps(self) -> np.ndarray:
-        """The steps at which run() records a snapshot: every ``record_every``-th and the last."""
+        """The steps at which run() records a snapshot and the norm ladder: every ``record_every``-th and the last."""
         return np.union1d(np.arange(0, self.n_steps + 1, self.record_every), [self.n_steps])
 
     def validate(self) -> None:
@@ -118,7 +119,7 @@ class Trajectory:
     field_modes: ModeSeries           # z_k(t) for +-active kernel modes, every step
     mass_series: np.ndarray           # ghat_0(t, 0), complex
     l2_series: np.ndarray             # ||eta + eps*g(t)||_{L2}
-    norm_history: np.ndarray          # (n_steps + 1, s + 1): H^0..H^s of g(t)
+    norm_history: np.ndarray          # (len(snapshot_steps), s + 1): H^0..H^s of snapshot j in row j
     reality_series: np.ndarray        # symmetry defect before re-enforcement
     snapshot_times: np.ndarray
     snapshots: list
@@ -268,22 +269,21 @@ class _Monitors:
         return float(np.sqrt(total))
 
     def sample(self, values: np.ndarray) -> tuple:
-        mass = complex(values[self.row0, self.zero_col])
-        l2 = self.full_l2(values)
-        ladder = norm_ladder(values, self.cfg.s, grid=self.cfg.grid, work=self.work)
-        return mass, l2, ladder
+        return complex(values[self.row0, self.zero_col]), self.full_l2(values)
 
 
 def run(cfg: SimConfig) -> Trajectory:
     """
     Integrate the configuration from its synthesized initial data.
 
-    Records: field modes at every step, the mass mode ghat_0(t, 0), the L2
-    norm of the full distribution eta + eps*g (constant for the exact
-    dynamics: the flow is transport by a divergence-free Hamiltonian field),
-    the Sobolev ladder H^0..H^s, the reality-symmetry defect, and snapshots
-    every ``record_every`` steps.  An unstable background only warns: runs
-    beyond the stability region are how the instability is exhibited.
+    Records at every step: the field modes, the mass mode ghat_0(t, 0), the
+    L2 norm of the full distribution eta + eps*g (constant for the exact
+    dynamics: the flow is transport by a divergence-free Hamiltonian field)
+    and the reality-symmetry defect.  At the steps of ``cfg.snapshot_steps``
+    (every ``record_every``-th and the last) it records a snapshot and the
+    Sobolev ladder H^0..H^s of that state.  An unstable background only
+    warns: runs beyond the stability region are how the instability is
+    exhibited.
 
     A linear run (eps = 0) marches only the rows it can reach (see "Linear
     runs: the reachable band" in docs/conventions.md); its snapshots are on
@@ -319,19 +319,20 @@ def run(cfg: SimConfig) -> Trajectory:
     zeta = {k: np.empty(n_steps + 1, dtype=np.complex128) for k in active}
     mass = np.empty(n_steps + 1, dtype=np.complex128)
     l2 = np.empty(n_steps + 1)
-    ladder = np.empty((n_steps + 1, cfg.s + 1))
     defects = np.empty(n_steps + 1)
+    snapshot_due = set(cfg.snapshot_steps.tolist())
+    ladder = np.empty((len(snapshot_due), cfg.s + 1))
     snapshots = []
     snapshot_times = []
-    snapshot_due = set(cfg.snapshot_steps.tolist())
 
     def record(i: int, t: float, values: np.ndarray, defect: float) -> dict:
         zk = extract_field_modes(values, t, cfg.kernel, grid)
         for k in active:
             zeta[k][i] = zk[k]
-        mass[i], l2[i], ladder[i] = monitors.sample(values)
+        mass[i], l2[i] = monitors.sample(values)
         defects[i] = defect
         if i in snapshot_due:
+            ladder[len(snapshots)] = norm_ladder(values, cfg.s, grid=grid, work=monitors.work)
             full[band_rows] = values
             snapshots.append(SpectralField(configured, full, real_valued=True))
             snapshot_times.append(t)

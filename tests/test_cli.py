@@ -187,6 +187,20 @@ class TestSubcommands:
         assert header == "t,re_zeta1,im_zeta1,abs_zeta1,mass_re,mass_im,l2_full,h_smin4,h_s"
         assert (out / "final_state.csv").read_text().splitlines()[0] == "n,xi,re,im"
 
+    def test_timeseries_ladder_columns_follow_the_record_schedule(self, tmp_path):
+        cfg_path = write_config(tmp_path, dict(TINY, record_every=3))
+        out = tmp_path / "out"
+        assert main(["run-sim", cfg_path, "--out", str(out)]) == EXIT_OK
+        lines = (out / "timeseries.csv").read_text().splitlines()
+        cfg = parse_config(cfg_path)[0]
+        assert len(lines) == cfg.n_steps + 2
+        on_schedule = set(cfg.snapshot_steps.tolist())
+        assert cfg.n_steps in on_schedule and cfg.n_steps % 3 != 0
+        for i, line in enumerate(lines[1:]):
+            fields = line.split(",")
+            assert (fields[7:] == ["nan", "nan"]) == (i not in on_schedule), f"step {i}"
+            assert "nan" not in fields[:7], f"step {i}"
+
     def test_run_sim_exit_codes(self, tmp_path, capsys):
         assert main(["run-sim", write_config(tmp_path, {"bogus": 1}, "a.json")]) == EXIT_USAGE
         assert capsys.readouterr().err == "config error: unknown key 'bogus' in config\n"

@@ -104,14 +104,44 @@ class TestQMonitor:
         traj = H.run(cfg)
         mon = H.q_monitor(traj)
         assert mon.m_kernel == 2
-        w = np.sqrt(1 + traj.times ** 2)
+        assert np.array_equal(mon.times, traj.snapshot_times)
+        w = np.sqrt(1 + traj.snapshot_times ** 2)
         assert np.allclose(mon.growth_part, traj.norm_history[:, 10] / w ** 5)
         assert np.allclose(mon.low_part, traj.norm_history[:, 10 - 6])
+        w = np.sqrt(1 + traj.times ** 2)
         expected = np.zeros_like(traj.times)
         for k in (-2, -1, 1, 2):
             expected = np.maximum(expected,
                                   w ** (11 - 2 * abs(k)) * np.abs(traj.field_modes.mode(k)))
-        assert np.allclose(mon.mode_part, expected)
+        assert np.allclose(mon.mode_part, expected[cfg.snapshot_steps])
+
+    def test_q_series_sees_the_mode_part_at_every_step(self):
+        grid = H.make_grid(1, 12.0, 241, 1)
+        cfg = H.SimConfig(grid=grid, kernel=COS, profile=H.maxwellian(1.0),
+                          perturbations=H.Perturbation(mode=1, amplitude=1.0),
+                          epsilon=0.02, dt=0.05, t_final=10.0, record_every=7, s=7,
+                          check_stability=False)
+        traj = H.run(cfg)
+        mon = H.q_monitor(traj)
+        w = np.sqrt(1 + traj.times ** 2)
+        per_step = np.maximum(w ** 6 * np.abs(traj.field_modes.mode(1)),
+                              w ** 6 * np.abs(traj.field_modes.mode(-1)))
+        running = np.maximum.accumulate(per_step)[cfg.snapshot_steps]
+        # the mode part peaks between snapshots, so the samples alone would miss its sup
+        assert np.any(running > np.maximum.accumulate(mon.mode_part))
+        assert np.all(mon.q_series >= running)
+        assert np.array_equal(mon.q_series, np.maximum.accumulate(mon.growth_part) + running
+                              + np.maximum.accumulate(mon.low_part))
+
+    def test_growth_from_halfway_refuses_the_last_snapshot(self):
+        grid = H.make_grid(1, 12.0, 241, 1)
+        cfg = H.SimConfig(grid=grid, kernel=COS, profile=H.maxwellian(1.0),
+                          perturbations=H.Perturbation(mode=1, amplitude=1.0),
+                          epsilon=0.02, dt=0.1, t_final=10.0, record_every=100, s=7,
+                          check_stability=False)
+        mon = H.q_monitor(H.run(cfg))
+        with pytest.raises(H.InvariantViolation, match="record_every"):
+            mon.growth_from_halfway()
 
 
 class TestScatteringLimit:

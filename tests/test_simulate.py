@@ -280,6 +280,37 @@ class TestRunBuffers:
         assert traj.l2_series[0] == pytest.approx(background, rel=1e-14)
 
 
+class TestRecordSchedule:
+    @pytest.mark.parametrize("record_every", [1, 3, 10 ** 9])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_ladder_rows_are_the_snapshot_ladders(self, epsilon, record_every):
+        cfg = small_config(epsilon=epsilon, t_final=2.0, dt=0.05, record_every=record_every)
+        traj = H.run(cfg)
+        assert traj.norm_history.shape == (len(cfg.snapshot_steps), cfg.s + 1)
+        assert np.array_equal(traj.snapshot_times, traj.times[cfg.snapshot_steps])
+        for j, snap in enumerate(traj.snapshots):
+            ladder = H.norm_ladder(snap, cfg.s)
+            if epsilon > 0:
+                assert np.array_equal(traj.norm_history[j], ladder), f"snapshot {j}"
+            else:
+                # the linear run's band leaves out zero rows, which regroup the final sum
+                assert np.max(np.abs(traj.norm_history[j] - ladder) / ladder) <= 1e-15, f"snapshot {j}"
+
+    @pytest.mark.parametrize("record_every", [1, 3, 10 ** 9])
+    def test_run_takes_the_ladder_once_per_snapshot(self, record_every, monkeypatch):
+        calls = []
+        ladder = H.simulate.norm_ladder
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ladder(*args, **kwargs)
+
+        monkeypatch.setattr(H.simulate, "norm_ladder", counted)
+        cfg = small_config(epsilon=0.05, t_final=2.0, dt=0.05, record_every=record_every)
+        H.run(cfg)
+        assert len(calls) == len(cfg.snapshot_steps)
+
+
 def tabulated_maxwellian():
     v = np.linspace(-8.0, 8.0, 161)
     return H.tabulated(v, np.exp(-v * v / 2.0) / np.sqrt(2.0 * np.pi))
