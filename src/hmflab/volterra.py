@@ -20,6 +20,8 @@ from .grids import InvariantViolation
 from .penrose import InteractionKernel, memory_kernel, penrose_check
 
 _SUPPORT_TINY = 1e-16  # |K| relative to its peak below which a lag is dropped
+_BLOCK = 32  # steps per block of the march
+_MARCH_ENTRIES = 4e6  # complex entries per temporary of the march (64 MB), the fourier_sum bound
 
 __all__ = [
     "ModeSeries",
@@ -88,9 +90,8 @@ def product_trapezoid(kernel_samples: np.ndarray, forcing_samples: np.ndarray, d
     """
     March the second-kind Volterra equation with product-trapezoidal weights.
 
-    ``kernel_samples[m]`` holds K(m*dt).  Each step solves the implicit
-    diagonal term in closed form: z_j = (F_j + dt*(K_j z_0/2 + sum_{0<i<j}
-    K_{j-i} z_i)) / (1 - dt*K_0/2).
+    ``kernel_samples[m]`` holds K(m*dt).  Step j solves
+    z_j = (F_j + dt*(K_j z_0/2 + sum_{0<i<j} K_{j-i} z_i)) / (1 - dt*K_0/2).
 
     The history sum runs over the kernel's numerical support only: with L
     the last index where |K_m| > 1e-16 max|K| (0 for a zero kernel), step j
@@ -98,9 +99,18 @@ def product_trapezoid(kernel_samples: np.ndarray, forcing_samples: np.ndarray, d
     n * 1e-16 * max|K| * max|z| * dt.  When the last sample is above that
     level, L = n and every step sums its whole history.
 
+    The steps march in blocks of ``_BLOCK`` starting at step 1, each block
+    full width (K and F read as zero past the grid), so z_j does not depend
+    on n.  A block is two reductions along the last axis: its history, a
+    (B, L) Toeplitz table of dt*K lags against z[s0-L:s0], and its in-block
+    solve, the lower-triangular Toeplitz inverse of (1 - dt*K_0/2) I - dt T_B
+    applied to the block's right-hand sides.
+
     ``forcing_samples`` of shape (m, n+1) holds one forcing per row; the
-    rows march together, each exactly as its own 1-D solve, and the result
-    has the forcing's shape.
+    rows march in groups whose temporaries stay under ``_MARCH_ENTRIES``
+    complex entries (for L <= _MARCH_ENTRIES / _BLOCK), each row exactly as
+    its own 1-D solve, and the result has the forcing's shape.  Non-finite
+    kernel or forcing samples are refused with a ValueError.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -108,29 +118,55 @@ def product_trapezoid(kernel_samples: np.ndarray, forcing_samples: np.ndarray, d
     F = np.asarray(forcing_samples, dtype=np.complex128)
     if K.ndim != 1 or F.ndim not in (1, 2) or F.shape[-1] != K.size:
         raise ValueError("kernel and forcing sample arrays must be aligned")
+    for name, arr in (("kernel_samples", K), ("forcing_samples", F)):
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            at = tuple(int(i) for i in bad[0])
+            raise ValueError(f"{name} is not finite at index {at[0] if arr.ndim == 1 else at}: {arr[at]}")
     denom = 1.0 - 0.5 * dt * K[0]
     if abs(denom) < 1e-8:
         raise ValueError(f"step-size failure: |1 - (dt/2) K(0)| = {abs(denom):.2e} < 1e-8, reduce dt")
-    n = K.size - 1
+    n, B = K.size - 1, _BLOCK
     mag = np.abs(K)
     above = np.nonzero(mag > _SUPPORT_TINY * mag.max())[0]
     support = int(above[-1]) if above.size else 0
-    out = np.empty(F.shape, dtype=np.complex128)
-    f, z = F.reshape(-1, n + 1), out.reshape(-1, n + 1)
-    z[:, 0] = f[:, 0]
-    starts = list(z[:, 0])
-    for j in range(1, n + 1):
-        lo = max(1, j - support)
-        half = 0.5 * K[j]
-        # one reduction along the last axis keeps each row's pairwise order;
-        # the rest of the step is the 1-D loop's scalar arithmetic, per row
-        sums = np.add.reduce(K[j - lo:0:-1] * z[:, lo:j], axis=-1) if j > lo else None
-        for r, z0 in enumerate(starts):
-            acc = half * z0
-            if sums is not None:
-                acc = acc + sums[r]
-            z[r, j] = (f[r, j] + dt * acc) / denom
-    return out
+    width = 1 + -(-n // B) * B
+    # dt*K at the lags 0..L+B-1, zero at lag 0 and past the support
+    lags = np.zeros(support + B, dtype=np.complex128)
+    lags[1:support + 1] = dt * K[1:support + 1]
+    # history table: row r, column c multiplies z_{s0-L+c}, at lag r+L-c
+    history = lags[np.arange(B)[:, None] + support - np.arange(support)]
+    # first column of the block inverse: the response to a unit right-hand side at the block's first step
+    col = np.empty(B, dtype=np.complex128)
+    col[0] = 1.0 / denom
+    for r in range(1, B):
+        col[r] = np.add.reduce(lags[r:0:-1] * col[:r]) / denom
+    offset = np.arange(B)[:, None] - np.arange(B)
+    solve = np.where(offset >= 0, col[np.maximum(offset, 0)], 0.0)
+    half = np.zeros(width, dtype=np.complex128)
+    half[:n + 1] = 0.5 * dt * K
+    f = F.reshape(-1, n + 1)
+    out = np.empty(f.shape, dtype=np.complex128)
+    # rows per group: the padded rows and both block products stay under _MARCH_ENTRIES
+    group = max(1, int(_MARCH_ENTRIES // max(width, B * max(support, B))))
+    for g in range(0, f.shape[0], group):
+        z = np.zeros((min(group, f.shape[0] - g), width), dtype=np.complex128)
+        z[:, :n + 1] = f[g:g + group]
+        z0 = z[:, :1]
+        # the block products go to buffers made once per group: a fresh
+        # temporary per block can cost a page fault per page
+        past = np.empty((len(z), B, support), dtype=np.complex128)
+        inside = np.empty((len(z), B, B), dtype=np.complex128)
+        for s0 in range(1, width, B):
+            lo = max(1, s0 - support)
+            rhs = z[:, s0:s0 + B] + half[s0:s0 + B] * z0
+            if s0 > lo:
+                w = s0 - lo
+                prod = np.multiply(history[:, support - w:], z[:, None, lo:s0], out=past[..., :w])
+                rhs += np.add.reduce(prod, axis=-1)
+            z[:, s0:s0 + B] = np.add.reduce(np.multiply(solve, rhs[:, None, :], out=inside), axis=-1)
+        out[g:g + group] = z[:, :n + 1]
+    return out.reshape(F.shape)
 
 
 def step_count(t_final: float, dt: float) -> int:

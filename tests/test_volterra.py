@@ -117,20 +117,25 @@ class TestTruncatedMarch:
         ref = reference_march(K, F, dt)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("ik, T, n", TRUNCATED_CASES[:3])
-    def test_sums_exactly_the_support(self, ik, T, n):
-        # bitwise equal to the loop cut at the support, so the cutoff is not off by one
-        K, F, dt = kernel_and_forcing(ik, T, n)
-        got = H.product_trapezoid(K, F, dt)
-        assert np.array_equal(got, reference_march(K, F, dt, support=support_index(K)))
-        assert not np.array_equal(got, reference_march(K, F, dt, support=support_index(K) - 1))
+    def test_sums_exactly_the_support(self):
+        # a kernel whose last in-support lag is large: the march sums it, and no lag past it
+        m = np.arange(601)
+        K = np.where(m <= 200, -np.exp(-m / 50.0), 0.0)
+        t = m * 0.02
+        F = np.exp(0.3j * t) / (1 + t)
+        assert support_index(K) == 200
+        got = H.product_trapezoid(K, F, 0.02)
+        scale = np.max(np.abs(got))
+        assert np.max(np.abs(got - reference_march(K, F, 0.02, support=200))) <= 1e-14 * scale
+        assert np.max(np.abs(got - reference_march(K, F, 0.02, support=199))) >= 1e-6 * scale
 
     @pytest.mark.parametrize("kernel, forcing", [(NEG_ONES, ONES),
                                                  (np.cos, lambda t: np.exp(1j * t) / (1 + t))])
     def test_non_decaying_kernel_is_the_full_history_loop(self, kernel, forcing):
         t = np.arange(5001) * 1e-3
         got = H.solve_volterra(kernel, forcing, dt=1e-3, t_final=5.0).mode(0)
-        assert np.array_equal(got, reference_march(kernel(t), forcing(t), 1e-3))
+        ref = reference_march(kernel(t), forcing(t), 1e-3)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_batched_rows_equal_their_own_solves(self):
         K, _, dt = kernel_and_forcing(TWO, 1.0, 1)
@@ -141,9 +146,56 @@ class TestTruncatedMarch:
         for f, z in zip(F, Z):
             assert np.array_equal(z, H.product_trapezoid(K, f, dt))
 
+    def test_row_groups_are_bitwise_one_batch(self, monkeypatch):
+        K, F, dt = kernel_and_forcing(TWO, 1.0, 1)
+        rows = np.array([F, 2j * F, F.conj()])
+        whole = H.product_trapezoid(K, rows, dt)
+        # room for two rows of the history product: the rows march in groups of 2 and 1
+        monkeypatch.setattr(volterra, "_MARCH_ENTRIES", 2 * volterra._BLOCK * support_index(K))
+        assert np.array_equal(H.product_trapezoid(K, rows, dt), whole)
+
     def test_misaligned_batch_rejected(self):
         with pytest.raises(ValueError, match="aligned"):
             H.product_trapezoid(np.ones(11), np.ones((2, 10)), 0.1)
+
+    def test_non_finite_samples_refused(self):
+        # one NaN would make the support 0 and drop the whole history without a word
+        K, F, dt = kernel_and_forcing(H.InteractionKernel.cosine(), 1.0, 1, t_final=10.0)
+        bad = K.copy()
+        bad[400] = np.nan
+        with pytest.raises(ValueError, match=r"kernel_samples is not finite at index 400\b"):
+            H.product_trapezoid(bad, F, dt)
+        rows = np.array([F, F])
+        rows[1, 7] = np.inf
+        with pytest.raises(ValueError, match=r"forcing_samples is not finite at index \(1, 7\)"):
+            H.product_trapezoid(K, rows, dt)
+
+
+def block_case(kind, n, dt=0.05):
+    """Kernel and forcing on n + 1 samples; the kernel's support is 0, 5 (< 32) or n."""
+    m = np.arange(n + 1)
+    t = m * dt
+    K = {"zero": np.where(m == 0, -0.5, 0.0),
+         "short": np.where(m <= 5, -np.exp(-m / 3.0), 0.0),
+         "full": np.cos(0.3 * t) - 0.5}[kind]
+    return K, np.exp(0.3j * t) / (1 + t) + 0.5, dt
+
+
+class TestBlockGrid:
+    @pytest.mark.parametrize("kind", ["zero", "short", "full"])
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 101])
+    def test_matches_the_loop(self, n, kind):
+        K, F, dt = block_case(kind, n)
+        got = H.product_trapezoid(K, F, dt)
+        assert got.shape == F.shape
+        assert np.max(np.abs(got - reference_march(K, F, dt))) <= 1e-14 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("kind", ["zero", "short", "full"])
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 101])
+    def test_march_is_a_prefix_of_a_longer_march(self, n, kind):
+        K, F, dt = block_case(kind, n + 77)
+        assert np.array_equal(H.product_trapezoid(K[:n + 1], F[:n + 1], dt),
+                              H.product_trapezoid(K, F, dt)[:n + 1])
 
 
 class TestModeSeries:
