@@ -117,17 +117,19 @@ class TestTruncatedMarch:
         ref = reference_march(K, F, dt)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_sums_exactly_the_support(self):
-        # a kernel whose last in-support lag is large: the march sums it, and no lag past it
-        m = np.arange(601)
-        K = np.where(m <= 200, -np.exp(-m / 50.0), 0.0)
-        t = m * 0.02
-        F = np.exp(0.3j * t) / (1 + t)
-        assert support_index(K) == 200
-        got = H.product_trapezoid(K, F, 0.02)
+    @pytest.mark.parametrize("ik, T, n", TRUNCATED_CASES[:3])
+    def test_sums_exactly_the_support(self, ik, T, n):
+        # the last in-support lag raised to a tenth of the peak: the march is the loop
+        # cut at the support and far from the loop cut one lag short, so the cutoff is
+        # not off by one
+        K, F, dt = kernel_and_forcing(ik, T, n)
+        L = support_index(K)
+        K[L] = 0.1 * np.max(np.abs(K))
+        assert support_index(K) == L
+        got = H.product_trapezoid(K, F, dt)
         scale = np.max(np.abs(got))
-        assert np.max(np.abs(got - reference_march(K, F, 0.02, support=200))) <= 1e-14 * scale
-        assert np.max(np.abs(got - reference_march(K, F, 0.02, support=199))) >= 1e-6 * scale
+        assert np.max(np.abs(got - reference_march(K, F, dt, support=L))) <= 1e-14 * scale
+        assert np.max(np.abs(got - reference_march(K, F, dt, support=L - 1))) >= 1e-6 * scale
 
     @pytest.mark.parametrize("kernel, forcing", [(NEG_ONES, ONES),
                                                  (np.cos, lambda t: np.exp(1j * t) / (1 + t))])
