@@ -16,6 +16,7 @@ from .grids import (
     make_grid,
     norm_ladder,
     shift_add,
+    shift_plan,
     sobolev_norm,
     write_field_csv,
 )

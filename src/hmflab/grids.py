@@ -43,6 +43,8 @@ __all__ = [
     "SpectralField",
     "make_grid",
     "cubic_interp",
+    "MARGIN",
+    "shift_plan",
     "shift_add",
     "sobolev_norm",
     "norm_ladder",
@@ -50,6 +52,10 @@ __all__ = [
     "symmetrized_values",
     "write_field_csv",
 ]
+
+
+# zero columns on each side of a row that shift_add reads and writes
+MARGIN = 2
 
 
 class InvariantViolation(ValueError):
@@ -190,27 +196,60 @@ def cubic_interp(row: np.ndarray, grid: PhaseGrid, targets):
     return np.fromiter((_read(row, grid, x) for x in t.flat), np.complex128, t.size).reshape(t.shape)
 
 
-def shift_add(out: np.ndarray, block: np.ndarray, grid: PhaseGrid, shift: float, scale: complex) -> None:
+def shift_plan(grid: PhaseGrid, shift: float) -> tuple:
     """
-    Add ``scale`` times every row of ``block`` read at ``xi - shift`` into ``out``.
+    The stencil of a row shift by ``shift`` on rows of ``grid`` laid out with
+    ``MARGIN`` zero columns on each side (node j at column j + MARGIN).
 
-    On the uniform grid the fractional offset of ``xi_j - shift`` is the same
-    for every node, so all rows share one floor and four scalar weights (the
-    semi-Lagrangian shift), and each tap is one scaled slice added in place.
-    Zero extension beyond the grid and the exact zeros for
-    ``|xi_j - shift| > xi_max`` are those of :func:`cubic_interp`, which this
-    matches to roundoff.
+    Returns ``(lo, hi, taps)``: columns lo..hi-1 hold the nodes with
+    ``|xi_j - shift| <= xi_max``, the window; ``taps`` holds the four
+    (column offset, Lagrange weight) pairs.  On the uniform grid the
+    fractional offset of ``xi_j - shift`` is the same for every node, so every
+    row shares one floor and four scalar weights (the semi-Lagrangian shift).
     """
-    n = grid.n_xi
     x = -float(shift) / grid.dxi
     f = math.floor(x)
     t = grid.xi - shift
     lo = int(np.searchsorted(t, -grid.xi_max, side="left"))
     hi = int(np.searchsorted(t, grid.xi_max, side="right"))
-    for tap, w in zip(range(f - 1, f + 3), _lagrange_weights(x - f)):
-        a, b = max(lo, -tap), min(hi, n - tap)
-        if a < b:
-            out[..., a:b] += (scale * w) * block[..., a + tap:b + tap]
+    return lo + MARGIN, hi + MARGIN, tuple(zip(range(f - 1, f + 3), _lagrange_weights(x - f)))
+
+
+def shift_add(out: np.ndarray, block: np.ndarray, plan: tuple, scale: complex, work: np.ndarray) -> None:
+    """
+    Add ``scale`` times every row of ``block`` read at ``xi - shift`` into
+    ``out``, with ``plan = shift_plan(grid, shift)``.
+
+    ``out`` and ``block`` are (rows, n_xi + 2 MARGIN) arrays of margined rows
+    and ``block``'s margins are zero.  A window node's four taps then stay
+    within its own row, margins included, so each tap is one scaled range of
+    the rows laid end to end.  Elsewhere a tap reads a neighbouring row: the
+    shifted block is zeroed outside the window, margins included, before it
+    is added, so ``out``'s margins keep their values.  Zero extension beyond
+    the grid and the exact zeros for ``|xi_j - shift| > xi_max`` are those of
+    :func:`cubic_interp`, which this matches to roundoff.
+
+    ``work`` is C-contiguous complex scratch of shape (2, r, n_xi + 2 MARGIN)
+    with r at least the block's rows; a caller that shifts repeatedly keeps
+    one, so the shift allocates nothing.
+    """
+    rows = block.shape[0]
+    shifted = work[0, :rows]
+    if work.shape[0] != 2 or shifted.shape != block.shape or not work.flags.c_contiguous:
+        raise ValueError(f"work must be a C-contiguous array of shape (2, >= {rows}, {block.shape[-1]})")
+    lo, hi, taps = plan
+    if lo >= hi:
+        return
+    src = block.reshape(-1)
+    a, b = max(0, -taps[0][0]), min(src.size, src.size - taps[-1][0])
+    acc, prod = shifted.reshape(-1)[a:b], work[1, :rows].reshape(-1)[a:b]
+    (tap, w), *rest = taps
+    np.multiply(scale * w, src[a + tap:b + tap], out=acc)
+    for tap, w in rest:
+        np.add(acc, np.multiply(scale * w, src[a + tap:b + tap], out=prod), out=acc)
+    shifted[:, :lo] = 0.0
+    shifted[:, hi:] = 0.0
+    out += shifted
 
 
 def _weight_stencil(u: np.ndarray) -> np.ndarray:
@@ -403,12 +442,12 @@ def write_field_csv(field: SpectralField, path) -> None:
     decimal floats, so snapshots round-trip and diff cleanly.
     """
     grid = field.grid
+    values = field.values.ravel()
+    columns = (np.repeat(grid.modes, grid.n_xi).tolist(), np.tile(grid.xi, grid.shape[0]).tolist(),
+               values.real.tolist(), values.imag.tolist())
     with open(path, "w") as fh:
         fh.write("n,xi,re,im\n")
-        for i, n in enumerate(grid.modes):
-            for j in range(grid.n_xi):
-                z = field.values[i, j]
-                fh.write(f"{n},{grid.xi[j]:.17g},{z.real:.17g},{z.imag:.17g}\n")
+        fh.writelines("%d,%.17g,%.17g,%.17g\n" % row for row in zip(*columns))
 
 
 _FLOAT_FMT = "%.17g"

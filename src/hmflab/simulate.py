@@ -11,7 +11,8 @@ where z_k(t) = ghat_k(t, k t) are the self-consistent field modes and the sum
 runs over the active interaction modes.  Free transport is filtered exactly,
 so the state is read with one four-tap cubic Lagrange stencil (zero extension)
 in two ways only: at the points xi = k t (``grids.cubic_interp``), and along
-whole rows at xi - k t, added tap by tap into the rhs (``grids.shift_add``).
+whole rows at xi - k t (``grids.shift_add``), on rows that carry
+``grids.MARGIN`` zero columns each side, so that each tap is one contiguous op.
 Time stepping is classical 4-stage Runge-Kutta; the field modes are read from
 the stage states at stage times, which keeps the scheme at order 4, and once
 per state: a step's k1 takes the modes recorded for the state it starts from.
@@ -24,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import (InvariantViolation, PhaseGrid, SpectralField, cubic_interp, make_grid, norm_ladder,
-                    shift_add, symmetrized_values)
+from .grids import (MARGIN, InvariantViolation, PhaseGrid, SpectralField, cubic_interp, make_grid, norm_ladder,
+                    shift_add, shift_plan, symmetrized_values)
 from .penrose import InteractionKernel, PenroseReport, penrose_check
 from .profiles import HomogeneousProfile, Perturbation, profile_hat, synth_initial
 from .volterra import ModeSeries
@@ -151,81 +152,112 @@ def extract_field_modes(values: np.ndarray, t: float, kernel: InteractionKernel,
     return out
 
 
-class _Background:
+class _StageFactors:
     """
-    The background factor etahat(xi - n t) of the rhs, one ``profile_hat`` call
-    per (|n|, t) at the exact float t.
+    The factors of the rhs that depend on the stage time alone, built once per
+    stage time t at the exact float t, on the rows of ``MARGIN`` zero columns
+    each side that run() marches:
 
-    Only the rows of the latest stage time are held: k2 and k3 share t + dt/2,
-    and k4, evaluated at the next step's time, serves that step's k1.  Row -n
-    is conj(row n) reversed: xi is bitwise antisymmetric, and
+    - ``coupling``: eps (xi - n t), zero on the margins (eps > 0 only);
+    - ``plans[k]``: the stencil of the row shift by k t (eps > 0 only),
+      with ``work``, the scratch every shift reuses;
+    - ``background[n]``: the forcing row (-n p_n)(xi - n t) etahat(xi - n t)
+      of each active mode, one ``profile_hat`` call per positive mode.
+
+    Only the latest stage time is held: k2 and k3 share t + dt/2, and k4,
+    evaluated at the next step's time, serves that step's k1.  Row -n is
+    conj(row n) reversed: xi is bitwise antisymmetric, and
     etahat(-x) = conj(etahat(x)) bitwise for a real profile.
     """
 
     def __init__(self, cfg: SimConfig):
-        self.profile = cfg.profile
-        self.xi = cfg.grid.xi
+        grid = cfg.grid
+        self.cfg = cfg
+        self.active = _active_modes(cfg.kernel)
+        # mode k moves source rows m = n - k to rows n: one block pair per k
+        self.blocks = {}
+        for k in self.active:
+            lo, hi = max(-grid.n_max, k - grid.n_max), min(grid.n_max, k + grid.n_max)
+            self.blocks[k] = (slice(grid.row(lo), grid.row(hi) + 1), slice(grid.row(lo - k), grid.row(hi - k) + 1))
+        self.coupling = self.work = None
+        if cfg.epsilon != 0.0:
+            self.coupling = np.zeros((grid.shape[0], grid.n_xi + 2 * MARGIN))
+            self.work = np.empty((2,) + self.coupling.shape, dtype=np.complex128)
         self.t = None
-        self.rows = {}
+        self.plans = {}
+        self.background = {}
 
-    def __call__(self, n: int, t: float) -> np.ndarray:
-        if t != self.t:
-            self.t, self.rows = t, {}
-        m = abs(n)
-        hat = self.rows.get(m)
-        if hat is None:
-            hat = self.rows[m] = profile_hat(self.profile, self.xi - m * t)
-        return hat if n >= 0 else np.conj(hat)[::-1]
+    def at(self, t: float) -> _StageFactors:
+        if t == self.t:
+            return self
+        cfg, grid = self.cfg, self.cfg.grid
+        xi = grid.xi
+        if self.coupling is not None:
+            core = self.coupling[:, MARGIN:-MARGIN]
+            np.multiply(cfg.epsilon, np.subtract(xi, grid.modes[:, None] * t, out=core), out=core)
+            self.plans = {k: shift_plan(grid, k * t) for k in self.active}
+        for n in cfg.kernel.active_modes():
+            base = xi - n * t
+            row = (-n * cfg.kernel.coefficient(n)) * base * profile_hat(cfg.profile, base)
+            self.background[n], self.background[-n] = row, np.conj(row)[::-1]
+        self.t = t
+        return self
 
 
-def _rhs(values: np.ndarray, t: float, modes: dict, cfg: SimConfig, background: _Background,
-         out: np.ndarray) -> np.ndarray:
+def _margined(values: np.ndarray) -> np.ndarray:
+    """A copy of ``values`` with ``MARGIN`` zero columns on each side of every row."""
+    out = np.zeros(values.shape[:-1] + (values.shape[-1] + 2 * MARGIN,), dtype=np.complex128)
+    out[..., MARGIN:-MARGIN] = values
+    return out
+
+
+def _rhs(values: np.ndarray, t: float, modes: dict, factors: _StageFactors, out: np.ndarray) -> np.ndarray:
     """The module equation's right-hand side at the field modes ``modes`` of ``values`` at t,
-    written into ``out`` (a complex buffer of the grid's shape that does not alias ``values``)."""
-    grid = cfg.grid
-    kernel = cfg.kernel
-    xi = grid.xi
-    n_max = grid.n_max
+    written into ``out``; both are margined rows of the grid (``out`` does not alias ``values``),
+    and ``out``'s margins are left zero."""
+    f = factors.at(t)
+    cfg = f.cfg
     out.fill(0.0)
-    if cfg.epsilon != 0.0:
-        # mode k moves source row m = n - k to row n: one shifted block added per k
+    if f.coupling is not None:
         for k, zk in modes.items():
-            lo, hi = max(-n_max, k - n_max), min(n_max, k + n_max)
-            shift_add(out[grid.row(lo):grid.row(hi) + 1], values[grid.row(lo - k):grid.row(hi - k) + 1],
-                      grid, k * t, -k * kernel.coefficient(k) * zk)
-        out *= cfg.epsilon * (xi - grid.modes[:, None] * t)
+            rows, source = f.blocks[k]
+            shift_add(out[rows], values[source], f.plans[k], -k * cfg.kernel.coefficient(k) * zk, f.work)
+        out *= f.coupling
     for n, zn in modes.items():
-        base = xi - n * t
-        out[grid.row(n)] += (-n * kernel.coefficient(n) * zn) * base * background(n, t)
+        out[cfg.grid.row(n), MARGIN:-MARGIN] += zn * f.background[n]
     return out
 
 
 def assemble_rhs(state: SpectralField, t: float, cfg: SimConfig) -> SpectralField:
     """Time derivative of the state at time t (see the module equation)."""
     modes = extract_field_modes(state.values, t, cfg.kernel, cfg.grid)
-    out = _rhs(state.values, t, modes, cfg, _Background(cfg), np.empty_like(state.values))
-    return SpectralField(cfg.grid, out, state.real_valued)
+    values = _margined(state.values)
+    out = _rhs(values, t, modes, _StageFactors(cfg), np.empty_like(values))
+    return SpectralField(cfg.grid, out[:, MARGIN:-MARGIN], state.real_valued)
 
 
-def _step_values(values: np.ndarray, t: float, t_next: float, modes: dict, cfg: SimConfig,
-                 background: _Background, buf: np.ndarray) -> np.ndarray:
+def _step_values(values: np.ndarray, t: float, t_next: float, modes: dict, factors: _StageFactors,
+                 buf: np.ndarray) -> np.ndarray:
     """
     One RK4 step from ``values`` at t to t_next, returned in ``buf[0]``.  k1
     takes ``modes``, the field modes of ``values``; k4 is evaluated at the
     next step's start time t_next, which can differ from t + dt by one ulp.
-    ``buf`` is complex scratch of shape ``(3,) + grid.shape`` (accumulator,
-    stage derivative, stage state), so the step allocates nothing of the
-    grid's size.  The operations are those of values + (dt/6)(k1 + 2 k2 +
-    2 k3 + k4) with k2 = rhs(values + (dt/2) k1, t + dt/2) and so on, in the
-    same order, so the result is bitwise that of the plain expression.
+    ``values`` holds margined rows, and ``buf`` is complex scratch of shape
+    ``(3,) + values.shape`` (accumulator, stage derivative, stage state), so
+    the step allocates nothing of the grid's size.
+    The operations are those of values + (dt/6)(k1 + 2 k2 + 2 k3 + k4) with
+    k2 = rhs(values + (dt/2) k1, t + dt/2) and so on, in the same order, so
+    the result is bitwise that of the plain expression, margins zero.
     """
+    cfg = factors.cfg
     dt = cfg.dt
     acc, k, stage = buf
 
     def rhs(state, ts, out):
-        return _rhs(state, ts, extract_field_modes(state, ts, cfg.kernel, cfg.grid), cfg, background, out)
+        modes = extract_field_modes(state[:, MARGIN:-MARGIN], ts, cfg.kernel, cfg.grid)
+        return _rhs(state, ts, modes, factors, out)
 
-    k1 = _rhs(values, t, modes, cfg, background, acc)
+    k1 = _rhs(values, t, modes, factors, acc)
     np.add(values, np.multiply(0.5 * dt, k1, out=stage), out=stage)
     k2 = rhs(stage, t + 0.5 * dt, k)
     np.add(values, np.multiply(0.5 * dt, k2, out=stage), out=stage)
@@ -309,9 +341,12 @@ def run(cfg: SimConfig) -> Trajectory:
     band_rows = slice(configured.row(-r), configured.row(r) + 1)
     full = np.zeros(configured.shape, dtype=np.complex128)
 
-    state = synth_initial(cfg.perturbations, grid).values.copy()
+    # the state and the step's scratch are margined rows (see grids.shift_add);
+    # core is the state on the grid
+    state = _margined(synth_initial(cfg.perturbations, grid).values)
+    core = state[:, MARGIN:-MARGIN]
     monitors = _Monitors(band)
-    background = _Background(band)
+    factors = _StageFactors(band)
     n_steps = cfg.n_steps
     times = np.arange(n_steps + 1) * cfg.dt
 
@@ -325,36 +360,36 @@ def run(cfg: SimConfig) -> Trajectory:
     snapshots = []
     snapshot_times = []
 
-    def record(i: int, t: float, values: np.ndarray, defect: float) -> dict:
-        zk = extract_field_modes(values, t, cfg.kernel, grid)
+    def record(i: int, t: float, defect: float) -> dict:
+        zk = extract_field_modes(core, t, cfg.kernel, grid)
         for k in active:
             zeta[k][i] = zk[k]
-        mass[i], l2[i] = monitors.sample(values)
+        mass[i], l2[i] = monitors.sample(core)
         defects[i] = defect
         if i in snapshot_due:
-            ladder[len(snapshots)] = norm_ladder(values, cfg.s, grid=grid, work=monitors.work)
-            full[band_rows] = values
+            full[band_rows] = core
+            ladder[len(snapshots)] = norm_ladder(full[band_rows], cfg.s, grid=grid, work=monitors.work)
             snapshots.append(SpectralField(configured, full, real_valued=True))
             snapshot_times.append(t)
         return zk      # the next step's k1 takes the modes of this state
 
     # the step and the drift check write into these buffers and the state is
     # overwritten in place: neither allocates anything of the grid's size
-    buf = np.empty((3,) + grid.shape, dtype=np.complex128)
-    finite = np.empty(grid.shape, dtype=bool)
-    defect = np.empty(grid.shape)
-    modes = record(0, 0.0, state, 0.0)
+    buf = np.empty((3,) + state.shape, dtype=np.complex128)
+    finite = np.empty(state.shape, dtype=bool)
+    defect = np.empty(state.shape)
+    modes = record(0, 0.0, 0.0)
     # a state that blows up overflows inside the step; the isfinite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
-            raw = _step_values(state, times[i - 1], times[i], modes, band, background, buf)
+            raw = _step_values(state, times[i - 1], times[i], modes, factors, buf)
             if not np.isfinite(raw, out=finite).all():
                 raise NonFiniteState(f"non-finite state at t={times[i]:.6g} (step {i}); aborting run")
             # per-step symmetry drift, measured before the averaging re-enforces it
             diff = np.subtract(raw[::-1, ::-1], np.conjugate(raw, out=buf[2]), out=buf[2])
             drift = float(np.max(np.abs(diff, out=defect)))
             symmetrized_values(raw, out=state)
-            modes = record(i, times[i], state, drift)
+            modes = record(i, times[i], drift)
 
     return Trajectory(
         config=cfg,

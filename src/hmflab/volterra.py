@@ -109,8 +109,9 @@ def product_trapezoid(kernel_samples: np.ndarray, forcing_samples: np.ndarray, d
     ``forcing_samples`` of shape (m, n+1) holds one forcing per row; the
     rows march in groups whose temporaries stay under ``_MARCH_ENTRIES``
     complex entries (for L <= _MARCH_ENTRIES / _BLOCK), each row exactly as
-    its own 1-D solve, and the result has the forcing's shape.  Non-finite
-    kernel or forcing samples are refused with a ValueError.
+    its own 1-D solve, and the result has the forcing's shape.  A kernel
+    with no samples, and non-finite kernel or forcing samples, are refused
+    with a ValueError.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -118,6 +119,8 @@ def product_trapezoid(kernel_samples: np.ndarray, forcing_samples: np.ndarray, d
     F = np.asarray(forcing_samples, dtype=np.complex128)
     if K.ndim != 1 or F.ndim not in (1, 2) or F.shape[-1] != K.size:
         raise ValueError("kernel and forcing sample arrays must be aligned")
+    if K.size == 0:
+        raise ValueError("kernel_samples is empty: the march needs K(0)")
     for name, arr in (("kernel_samples", K), ("forcing_samples", F)):
         bad = np.argwhere(~np.isfinite(arr))
         if bad.size:

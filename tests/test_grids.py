@@ -198,6 +198,30 @@ class TestFieldCsv:
         assert np.array_equal(back[:, 1], np.tile(g.xi, g.shape[0]))
         assert np.array_equal(back[:, 2] + 1j * back[:, 3], f.values.ravel())
 
+    def test_bytes_equal_to_per_entry_writer(self, tmp_path):
+        def per_entry(field, path):
+            grid = field.grid
+            with open(path, "w") as fh:
+                fh.write("n,xi,re,im\n")
+                for i, n in enumerate(grid.modes):
+                    for j in range(grid.n_xi):
+                        z = field.values[i, j]
+                        fh.write(f"{n},{grid.xi[j]:.17g},{z.real:.17g},{z.imag:.17g}\n")
+
+        g = H.make_grid(2, 18.0, 361, 1)
+        rng = np.random.default_rng(12)
+        vals = rng.normal(size=g.shape) * 10.0 ** rng.integers(-300, 300, size=g.shape) + 1j * rng.normal(size=g.shape)
+        vals[1] = complex(-0.0, -0.0)
+        vals[2, 7:9] = complex(0.0, -0.0)
+        vals[:, 0] = (5e-324, -1.7976931348623157e308, 0.1, -2.0 / 3.0, 1.0)
+        vals[:, -1] = -np.conj(vals[:, 0])
+        f = H.SpectralField(g, vals)
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        H.write_field_csv(f, got)
+        per_entry(f, ref)
+        assert got.read_bytes() == ref.read_bytes()
+        assert sum(line.endswith(",-0,-0") for line in got.read_text().splitlines()) == g.n_xi - 2
+
     def test_immutability(self):
         f = H.SpectralField(REF_GRID, np.zeros(REF_GRID.shape))
         with pytest.raises(ValueError):

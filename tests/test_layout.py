@@ -138,11 +138,12 @@ def test_checker_sees_matrix_products(tmp_path):
 
 def test_import_leaves_scipy_signal_out():
     # scipy.signal adds ~0.9 s to every process that imports hmflab,
-    # scipy.interpolate ~0.3 s that only tabulated profiles need, and
-    # scipy.linalg ~55 ms
+    # scipy.interpolate ~0.3 s that only tabulated profiles need,
+    # scipy.ndimage ~83 ms beyond scipy.fft, and scipy.linalg ~55 ms; no
+    # stencil shortcut through scipy.ndimage or scipy.sparse may add to that
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
-    left_out = ("scipy.signal", "scipy.interpolate", "scipy.linalg")
+    left_out = ("scipy.signal", "scipy.interpolate", "scipy.linalg", "scipy.ndimage", "scipy.sparse")
     probe = f"import sys, hmflab; print([m for m in {left_out!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Gliding-frame spectral integrator: mode extraction, right-hand side, stepping."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -336,7 +337,7 @@ def memo_free_rhs(cfg):
         out = H.assemble_rhs(H.SpectralField(grid, values, real_valued=False), t, coupling).values.copy()
         for n, zn in H.extract_field_modes(values, t, kernel, grid).items():
             base = grid.xi - n * t
-            out[grid.row(n)] += (-n * kernel.coefficient(n) * zn) * base * H.profile_hat(prof, base)
+            out[grid.row(n)] += zn * ((-n * kernel.coefficient(n)) * base * H.profile_hat(prof, base))
         return out
 
     return rhs
@@ -390,6 +391,63 @@ class TestBackgroundMemo:
         for t in (0.0, 0.05, 0.37, 1.0, 2.5):
             got = H.assemble_rhs(state, t, cfg).values
             assert np.array_equal(got, reference(state.values, t)), f"t={t}"
+
+
+def per_tap_rhs(cfg):
+    """The rhs as it was assembled on plain rows before the state carried
+    zero margins: each of a shift's four taps added into a strided slice,
+    and each forcing row as (-n p_n z_n)(xi - n t) etahat(xi - n t)."""
+    grid, kernel = cfg.grid, cfg.kernel
+    xi, n_max = grid.xi, grid.n_max
+
+    def shift_add(out, block, shift, scale):
+        x = -float(shift) / grid.dxi
+        f = math.floor(x)
+        th = x - f
+        lo = int(np.searchsorted(xi - shift, -grid.xi_max, side="left"))
+        hi = int(np.searchsorted(xi - shift, grid.xi_max, side="right"))
+        weights = (-th * (th - 1.0) * (th - 2.0) / 6.0, (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0,
+                   -th * (th + 1.0) * (th - 2.0) / 2.0, th * (th + 1.0) * (th - 1.0) / 6.0)
+        for tap, w in zip(range(f - 1, f + 3), weights):
+            a, b = max(lo, -tap), min(hi, grid.n_xi - tap)
+            if a < b:
+                out[..., a:b] += (scale * w) * block[..., a + tap:b + tap]
+
+    def rhs(values, t):
+        modes = H.extract_field_modes(values, t, kernel, grid)
+        out = np.zeros_like(values)
+        for k, zk in modes.items():
+            lo, hi = max(-n_max, k - n_max), min(n_max, k + n_max)
+            shift_add(out[grid.row(lo):grid.row(hi) + 1], values[grid.row(lo - k):grid.row(hi - k) + 1],
+                      k * t, -k * kernel.coefficient(k) * zk)
+        out *= cfg.epsilon * (xi - grid.modes[:, None] * t)
+        for n, zn in modes.items():
+            base = xi - n * t
+            out[grid.row(n)] += (-n * kernel.coefficient(n) * zn) * base * H.profile_hat(cfg.profile, base)
+        return out
+
+    return rhs
+
+
+class TestMarginedRun:
+    def test_scattering_shape_matches_the_per_tap_rhs(self):
+        # the benchmark's scattering shape (5 x 361, eps 0.01, dt 0.04, every
+        # step recorded) on a short horizon
+        grid = H.make_grid(2, 18.0, 361, 1)
+        cfg = H.SimConfig(grid=grid, kernel=COS, profile=H.maxwellian(1.0),
+                          perturbations=H.Perturbation(mode=1, amplitude=1.0, envelope="algebraic"),
+                          epsilon=0.01, dt=0.04, t_final=1.2, record_every=1, s=7, check_stability=False)
+        traj = H.run(cfg)
+        states, drifts, l2 = reference_run(cfg, per_tap_rhs(cfg))
+        assert len(traj.snapshots) == len(states) == cfg.n_steps + 1
+        scale = max(np.max(np.abs(ref)) for ref in states)
+        for i, (snap, ref) in enumerate(zip(traj.snapshots, states)):
+            assert np.max(np.abs(snap.values - ref)) <= 1e-14 * np.max(np.abs(ref)), f"step {i}"
+        mass = np.array([ref[grid.row(0), (grid.n_xi - 1) // 2] for ref in states])
+        assert np.max(np.abs(traj.mass_series - mass)) <= 1e-14 * scale
+        assert np.max(np.abs(traj.reality_series - drifts)) <= 1e-15 * scale
+        assert np.max(traj.reality_series) <= 1e-15 * scale
+        assert np.max(np.abs(traj.l2_series - l2) / l2) <= 1e-14
 
 
 class TestConfigValidation:

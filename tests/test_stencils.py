@@ -9,6 +9,7 @@ at all targets in one array expression; ``slow_rhs`` interpolates each
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,10 +78,12 @@ def slow_cubic_interp(row, grid, targets):
     return out[0] if scalar else out
 
 
-def slow_rhs(values, t, cfg):
+def slow_rhs(values, t, cfg, modes=None):
+    """The rhs one (n, k) pair at a time; ``modes`` defaults to the field modes of ``values`` at t."""
     grid = cfg.grid
     kernel = cfg.kernel
-    modes = H.extract_field_modes(values, t, kernel, grid)
+    if modes is None:
+        modes = H.extract_field_modes(values, t, kernel, grid)
     xi = grid.xi
     out = np.zeros_like(values)
     active = list(modes)
@@ -199,6 +202,25 @@ def shift_cases(grid):
     return out
 
 
+def margined(vals):
+    """``vals`` with grids.MARGIN zero columns on each side of every row, the layout shift_add reads."""
+    m = H.grids.MARGIN
+    out = np.zeros((vals.shape[0], vals.shape[1] + 2 * m), dtype=np.complex128)
+    out[:, m:-m] = vals
+    return out
+
+
+def shift_add_plain(out, vals, grid, shift, scale):
+    """``grids.shift_add`` of the plain rows ``vals`` into the plain rows ``out``, through margined copies."""
+    m = H.grids.MARGIN
+    got = margined(out)
+    # scratch with a spare row, full of NaN: nothing stale may reach the result
+    work = np.full((2, got.shape[0] + 1, got.shape[1]), np.nan + 0j)
+    H.shift_add(got, margined(vals), H.shift_plan(grid, shift), scale, work)
+    assert np.all(got[:, :m] == 0) and np.all(got[:, -m:] == 0)
+    out[...] = got[:, m:-m]
+
+
 class TestShiftAdd:
     @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=["dxi0.125", "dxi0.06"])
     def test_matches_cubic_interp(self, grid):
@@ -206,7 +228,7 @@ class TestShiftAdd:
         scale = np.max(np.abs(vals))
         for shift in shift_cases(grid):
             got = np.zeros_like(vals)
-            H.shift_add(got, vals, grid, shift, 1.0)
+            shift_add_plain(got, vals, grid, shift, 1.0)
             outside = np.abs(grid.xi - shift) > grid.xi_max
             for i, row in enumerate(vals):
                 ref = slow_cubic_interp(row, grid, grid.xi - shift)
@@ -218,7 +240,7 @@ class TestShiftAdd:
         grid = SHIFT_GRIDS[0]
         vals = noise_field(np.random.default_rng(2), grid).values
         got = np.zeros_like(vals)
-        H.shift_add(got, vals, grid, 5 * grid.dxi, 1.0)
+        shift_add_plain(got, vals, grid, 5 * grid.dxi, 1.0)
         assert np.array_equal(got[:, 5:], vals[:, :-5])
         assert np.all(got[:, :5] == 0)
 
@@ -230,10 +252,22 @@ class TestShiftAdd:
         scale = 0.3 - 1.7j
         for shift in (0.37 * grid.dxi, -2.61 * grid.dxi, 40 * grid.dxi, grid.xi_max - 0.5 * grid.dxi):
             got = out0.copy()
-            H.shift_add(got, vals, grid, shift, scale)
+            shift_add_plain(got, vals, grid, shift, scale)
             shifted = np.array([slow_cubic_interp(row, grid, grid.xi - shift) for row in vals])
             ref = out0 + scale * shifted
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), f"shift {shift!r}"
+
+
+    def test_work_must_fit_the_block(self):
+        grid = SHIFT_GRIDS[0]
+        block = margined(noise_field(np.random.default_rng(3), grid).values)
+        plan = H.shift_plan(grid, 0.37 * grid.dxi)
+        for work in (np.empty((2, block.shape[0] - 1, block.shape[1]), complex),
+                     np.empty((3,) + block.shape, complex),
+                     np.empty((2, block.shape[0], block.shape[1] + 1), complex),
+                     np.empty((2, block.shape[1], block.shape[0]), complex).transpose(0, 2, 1)):
+            with pytest.raises(ValueError, match="work"):
+                H.shift_add(np.zeros_like(block), block, plan, 1.0, work)
 
 
 class TestCubicInterp:
@@ -326,3 +360,56 @@ class TestRhs:
         cfg = rhs_config((0.5,), 3, 24.0, 481, epsilon)
         H.run(cfg)
         assert len(calls) == 1 + 4 * cfg.n_steps
+
+
+class TestRhsAtWindowEdge:
+    """Stage times where a shift k t comes within 2 dxi of xi_max or passes it.
+    The field-mode read at k t leaves the safe window there, so the rhs is
+    taken with given modes, on noise that does not vanish at the edges."""
+
+    @staticmethod
+    def edge_times(cfg):
+        xi_max, dxi = cfg.grid.xi_max, cfg.grid.dxi
+        for k in cfg.kernel.active_modes():
+            for edge in (xi_max - 2.0 * dxi, xi_max - 1.5 * dxi, xi_max - 0.25 * dxi, xi_max,
+                         np.nextafter(xi_max, np.inf), xi_max + 0.5 * dxi, xi_max + 2.5 * dxi,
+                         2.0 * xi_max + 0.5):
+                yield k, edge / k
+
+    @staticmethod
+    def rhs(cfg, values, t, modes):
+        m = H.grids.MARGIN
+        out = np.full(margined(values).shape, np.nan + 0j)
+        H.simulate._rhs(margined(values), t, modes, H.simulate._StageFactors(cfg), out)
+        assert np.all(out[:, :m] == 0) and np.all(out[:, -m:] == 0)
+        return out[:, m:-m]
+
+    @pytest.mark.parametrize("coefficients,n_max", [((0.5,), 3), ((0.5, 0.25), 4)], ids=["cosine", "M2"])
+    def test_matches_per_pair_reference(self, coefficients, n_max):
+        cfg = rhs_config(coefficients, n_max, 24.0, 481, 0.05)
+        rng = np.random.default_rng(40 + n_max)
+        values = noise_field(rng, cfg.grid).values
+        for k_edge, t in self.edge_times(cfg):
+            modes = {k: complex(rng.normal(), rng.normal()) for k in cfg.kernel.active_modes()}
+            modes.update({-k: z.conjugate() for k, z in modes.items()})
+            ref = slow_rhs(values, t, cfg, modes)
+            got = self.rhs(cfg, values, t, modes)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), f"k={k_edge}, t={t!r}"
+
+    @pytest.mark.parametrize("coefficients,n_max", [((0.5,), 3), ((0.5, 0.25), 4)], ids=["cosine", "M2"])
+    def test_exact_zeros_outside_each_shift_window(self, coefficients, n_max):
+        # one coupling mode at a time and no background: the rhs is that mode's
+        # shifted block alone, exactly zero where |xi - k t| > xi_max
+        cfg = replace(rhs_config(coefficients, n_max, 24.0, 481, 0.05), profile=H.maxwellian(1.0, mass=0.0))
+        grid = cfg.grid
+        values = noise_field(np.random.default_rng(50 + n_max), grid).values
+        active = [-k for k in cfg.kernel.active_modes()] + list(cfg.kernel.active_modes())
+        for k_edge, t in self.edge_times(cfg):
+            for k in active:
+                modes = {j: (0.7 - 0.4j if j == k else 0j) for j in active}
+                got = self.rhs(cfg, values, t, modes)
+                ref = slow_rhs(values, t, cfg, modes)
+                outside = np.abs(grid.xi - k * t) > grid.xi_max
+                assert np.all(got[:, outside] == 0), f"k={k}, t={t!r}"
+                assert np.all(ref[:, outside] == 0), f"k={k}, t={t!r}"
+                assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300), f"k={k}, t={t!r}"

@@ -160,6 +160,12 @@ class TestTruncatedMarch:
         with pytest.raises(ValueError, match="aligned"):
             H.product_trapezoid(np.ones(11), np.ones((2, 10)), 0.1)
 
+    def test_empty_samples_refused(self):
+        with pytest.raises(ValueError, match="kernel_samples is empty"):
+            H.product_trapezoid(np.ones(0), np.ones(0), 0.1)
+        with pytest.raises(ValueError, match="kernel_samples is empty"):
+            H.product_trapezoid(np.ones(0), np.ones((2, 0)), 0.1)
+
     def test_non_finite_samples_refused(self):
         # one NaN would make the support 0 and drop the whole history without a word
         K, F, dt = kernel_and_forcing(H.InteractionKernel.cosine(), 1.0, 1, t_final=10.0)
