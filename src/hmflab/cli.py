@@ -50,9 +50,9 @@ class ConfigError(ValueError):
 
 
 # The config schema: per section, each key's type and default (... where the document must give
-# the key, None where it may also be null).  An int takes integral numbers only, a float any number,
-# neither a bool; a Path names an existing file.  Defaults pass through the same conversion; absent
-# bench and penrose sections stay absent from parse_config's extras.
+# the key, None where it may also be null).  An int takes integral numbers only, a float any finite
+# number (json reads NaN and Infinity), neither a bool; a Path names an existing file.  Defaults pass
+# through the same conversion; absent bench and penrose sections stay absent from parse_config's extras.
 _SCHEMA = {
     "config": {"n_max": (int, 1), "xi_max": (float, 25.0), "n_xi": (int, 501), "m0": (int, 1),
                "epsilon": (float, 0.01), "dt": (float, 0.05), "t_final": (float, 20.0),
@@ -74,7 +74,7 @@ _VARIANTS = {
     "perturbation": ("envelope", {"gaussian": ("mode", "amplitude"), "algebraic": ("mode", "amplitude", "s_tail")}),
 }
 _PROFILES = {"maxwellian": maxwellian, "two_stream": two_stream, "tabulated": load_profile_csv}
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", Path: "the name of an existing file",
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", Path: "the name of an existing file",
                dict: "a JSON object", list[float]: "a list of numbers", list[dict]: "a JSON object or a list of them"}
 
 
@@ -85,7 +85,8 @@ def _convert(value, kind, key: str):
         if isinstance(items, list):
             return [_convert(v, get_args(kind)[0], key) for v in items]
     elif kind in (int, float):
-        if type(value) in (int, float) and (kind is float or type(value) is int or value.is_integer()):
+        if (type(value) in (int, float) and abs(value) <= sys.float_info.max
+                and (kind is float or type(value) is int or value.is_integer())):
             return kind(value)
     elif kind is Path:
         if isinstance(value, str) and Path(value).is_file():

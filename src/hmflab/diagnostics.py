@@ -46,8 +46,6 @@ __all__ = [
 class NormMonitor:
     """Composite weighted-norm monitor sampled at a trajectory's snapshot times."""
 
-    s: int
-    m_kernel: int
     times: np.ndarray             # the snapshot times; each series below is sampled at them
     growth_part: np.ndarray
     mode_part: np.ndarray
@@ -108,7 +106,7 @@ def q_monitor(traj: Trajectory) -> NormMonitor:
     total = float(np.sum(weighted))
     tail = edge / total if total > 0 else 0.0
 
-    return NormMonitor(s=s, m_kernel=m, times=traj.snapshot_times, growth_part=growth,
+    return NormMonitor(times=traj.snapshot_times, growth_part=growth,
                        mode_part=mode_part[steps], low_part=low, q_series=q_series,
                        edge_tail_fraction=tail)
 

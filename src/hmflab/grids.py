@@ -207,11 +207,19 @@ def shift_plan(grid: PhaseGrid, shift: float) -> tuple:
     fractional offset of ``xi_j - shift`` is the same for every node, so every
     row shares one floor and four scalar weights (the semi-Lagrangian shift).
     """
+    n, xi, edge = grid.n_xi, grid.xi, grid.xi_max
     x = -float(shift) / grid.dxi
     f = math.floor(x)
-    t = grid.xi - shift
-    lo = int(np.searchsorted(t, -grid.xi_max, side="left"))
-    hi = int(np.searchsorted(t, grid.xi_max, side="right"))
+    # the window in exact arithmetic, its ends then moved to where the floats xi_j - shift cross -+xi_max
+    lo, hi = min(max(-f, 0), n), min(max(n - math.ceil(x), 0), n)
+    while lo > 0 and xi[lo - 1] - shift >= -edge:
+        lo -= 1
+    while lo < n and xi[lo] - shift < -edge:
+        lo += 1
+    while hi < n and xi[hi] - shift <= edge:
+        hi += 1
+    while hi > 0 and xi[hi - 1] - shift > edge:
+        hi -= 1
     return lo + MARGIN, hi + MARGIN, tuple(zip(range(f - 1, f + 3), _lagrange_weights(x - f)))
 
 
@@ -311,16 +319,9 @@ def _ladder_plan(grid: PhaseGrid, max_order: int):
     return ident, bands, kfac
 
 
-def norm_ladder(field: SpectralField | np.ndarray, max_order: int, *, grid: PhaseGrid | None = None,
-                work: np.ndarray | None = None) -> np.ndarray:
+def norm_ladder(field: SpectralField, max_order: int) -> np.ndarray:
     """
-    All weighted Sobolev norms of order 0..max_order in one sweep.
-
-    ``field`` may be a bare complex array of ``grid``'s shape, which spares a
-    caller that holds its state in a buffer the copy a SpectralField makes.
-    ``work``, when given, is a float array of shape ``(4,) + grid.shape``
-    that the call uses as scratch for its grid-size intermediates instead of
-    allocating them; a caller that takes the ladder repeatedly keeps one.
+    All weighted Sobolev norms of ``field`` of order 0..max_order in one sweep.
 
     Returns
     -------
@@ -338,20 +339,10 @@ def norm_ladder(field: SpectralField | np.ndarray, max_order: int, *, grid: Phas
     """
     if max_order < 0:
         raise ValueError(f"norm order must be >= 0, got {max_order}")
-    if isinstance(field, SpectralField):
-        grid, u = field.grid, field.values
-    elif grid is None:
-        raise TypeError("grid required when passing a bare array")
-    elif field.shape != grid.shape:
-        raise ValueError(f"values shape {field.shape} != grid shape {grid.shape}")
-    else:
-        u = field
+    grid, u = field.grid, field.values
     ident, bands, kfac = _ladder_plan(grid, max_order)
     n = grid.n_xi
-    if work is None:
-        work = np.empty((4,) + u.shape)
-    elif work.shape != (4,) + u.shape or work.dtype != np.float64 or not work.flags.c_contiguous:
-        raise ValueError(f"work must be a C-contiguous float64 array of shape {(4,) + u.shape}")
+    work = np.empty((4,) + u.shape)
     # products over the rows laid end to end, one pass per d; the d entries
     # that pair a row's end with the next row are zeroed
     flat = u.reshape(-1)
@@ -407,8 +398,6 @@ def norm_ladder(field: SpectralField | np.ndarray, max_order: int, *, grid: Phas
 
 def sobolev_norm(field: SpectralField, order: int) -> float:
     """Weighted Sobolev norm of the field at the given derivative order (weight exponent: the grid's m0)."""
-    if order < 0:
-        raise ValueError(f"norm order must be >= 0, got {order}")
     return float(norm_ladder(field, order)[order])
 
 
@@ -450,13 +439,10 @@ def write_field_csv(field: SpectralField, path) -> None:
         fh.writelines("%d,%.17g,%.17g,%.17g\n" % row for row in zip(*columns))
 
 
-_FLOAT_FMT = "%.17g"
-
-
 def write_series_csv(path, header: str, columns) -> None:
     """Write aligned 1-D arrays as CSV with 17-significant-digit floats."""
-    cols = [np.asarray(c) for c in columns]
+    cols = [np.asarray(c).tolist() for c in columns]
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_FLOAT_FMT % float(x) for x in row) + "\n")
+        fh.writelines(row % values for values in zip(*cols))

@@ -216,6 +216,10 @@ class ScanParameters:
     tau_max: float | None = None   # None: auto-extend until the tail is negligible
     n_tau: int = 2001
 
+    def __post_init__(self) -> None:
+        if self.n_tau < 2:
+            raise ValueError(f"n_tau must be >= 2, got {self.n_tau}")
+
 
 @dataclass(frozen=True)
 class ModeStability:
@@ -227,7 +231,6 @@ class ModeStability:
     kappa_est: float
     stable: bool
     tau_scan: np.ndarray          # columns: tau, Re(1-Khat), Im(1-Khat)
-    tail_bound: float
 
 
 @dataclass(frozen=True)
@@ -244,12 +247,6 @@ class PenroseReport:
         if not self.modes:
             return 1.0
         return min(m.kappa_est for m in self.modes)
-
-    @property
-    def min_real_axis(self) -> float:
-        if not self.modes:
-            return 1.0
-        return min(m.min_real_axis for m in self.modes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -281,7 +278,7 @@ def _scan_mode(ik, prof, n, kappa_target, scan: ScanParameters) -> ModeStability
     # the scan, its near-origin points and every refinement midpoint
     probes = [16.0 * 2.0 ** k for k in range(16)] if scan.tau_max is None else [float(scan.tau_max)]
     for tau_max in probes:
-        nodes, fw, t_cut = rule = _panel_rule(ik, prof, n, tau_max)
+        nodes, fw, _ = rule = _panel_rule(ik, prof, n, tau_max)
         edge = abs(fourier_sum(nodes, fw, tau_max))
         if edge < tail_threshold:
             break
@@ -315,13 +312,11 @@ def _scan_mode(ik, prof, n, kappa_target, scan: ScanParameters) -> ModeStability
         raise ScanRefinementError(f"mode {n}: winding sum {total / (2 * np.pi):.3f} is not near an integer")
 
     min_abs = float(np.min(np.abs(z)))
-    tail_bound = _KERNEL_TINY * t_cut
-
     kappa_est = min_abs if winding == 0 else 0.0
     stable = (winding == 0) and (min_abs >= kappa_target)
     scan_arr = np.column_stack([taus, z.real, z.imag])
     return ModeStability(n=n, winding=winding, min_real_axis=min_abs, kappa_est=kappa_est,
-                         stable=stable, tau_scan=scan_arr, tail_bound=tail_bound)
+                         stable=stable, tau_scan=scan_arr)
 
 
 def penrose_check(ik: InteractionKernel, prof: HomogeneousProfile,

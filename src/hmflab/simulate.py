@@ -283,7 +283,7 @@ class _Monitors:
         self.row0 = grid.row(0)
         eta = self.eta_hat_grid
         self.background_l2 = float(np.sqrt(np.add.reduce((eta.real ** 2 + eta.imag ** 2) * self.tw)))
-        self.work = np.empty((4,) + grid.shape)      # scratch of full_l2 and norm_ladder
+        self.work = np.empty((2,) + grid.shape)      # scratch of full_l2
 
     def full_l2(self, values: np.ndarray) -> float:
         """||eta + eps*g||_{L2}: the rows n != 0 carry eps*g alone."""
@@ -368,7 +368,7 @@ def run(cfg: SimConfig) -> Trajectory:
         defects[i] = defect
         if i in snapshot_due:
             full[band_rows] = core
-            ladder[len(snapshots)] = norm_ladder(full[band_rows], cfg.s, grid=grid, work=monitors.work)
+            ladder[len(snapshots)] = norm_ladder(SpectralField(grid, core), cfg.s)
             snapshots.append(SpectralField(configured, full, real_valued=True))
             snapshot_times.append(t)
         return zk      # the next step's k1 takes the modes of this state

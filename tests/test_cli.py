@@ -1,6 +1,7 @@
 """Config parsing, subcommands, exit codes, artifact formats, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import hmflab as H
-from hmflab.cli import (_SCHEMA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, ConfigError, main, measure_scattering,
+from hmflab.cli import (_SCHEMA, _VARIANTS, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, ConfigError, main, measure_scattering,
                         parse_config, run_preset)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -70,8 +71,34 @@ MALFORMED = {
     "kernel a list": (dict(TINY, kernel=[0.5]), "kernel"),
     "profile a string": (dict(TINY, profile="maxwellian"), "profile"),
 }
+# a valid document of each section, one per variant that takes float keys
+SECTIONS = {"kernel": ({"p": [0.5]},), "profile": ({"kind": "maxwellian"}, {"kind": "two_stream", "v0": 2.0}),
+            "perturbation": ({"mode": 1}, {"mode": 1, "envelope": "algebraic"}), "bench": ({},), "penrose": ({},)}
+
+
+def takes(name, section, key):
+    """Whether ``section`` of _SCHEMA section ``name`` takes ``key`` in its variant."""
+    if name not in _VARIANTS:
+        return True
+    tag, variants = _VARIANTS[name]
+    return key in variants[section.get(tag, _SCHEMA[name][tag][1])]
+
+
+# json reads NaN and Infinity: one document per float key of _SCHEMA and non-finite value
+for name, keys in _SCHEMA.items():
+    for key, (kind, _) in keys.items():
+        if kind not in (float, list[float]):
+            continue
+        for text, value in (("Infinity", math.inf), ("NaN", math.nan)):
+            value = [value] if kind == list[float] else value
+            if name == "config":
+                MALFORMED[f"{key} {text}"] = (dict(TINY, **{key: value}), key)
+            else:
+                section = next(sec for sec in SECTIONS[name] if takes(name, sec, key))
+                MALFORMED[f"{name}.{key} {text}"] = (dict(TINY, **{name: dict(section, **{key: value})}), key)
 # also run in a fresh process, where an exception that escapes main prints a traceback
-TRACEBACKS = ("dt null", "perturbation a number", "bench a number", "missing table")
+TRACEBACKS = ("dt null", "perturbation a number", "bench a number", "missing table",
+              "t_final Infinity", "bench.t_list Infinity", "penrose.tau_max Infinity")
 
 
 class TestParseConfig:
@@ -226,6 +253,14 @@ class TestSubcommands:
         assert proc.returncode == EXIT_INVARIANT
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1 and "tau_max=1.0 too small" in proc.stderr
+
+    @pytest.mark.parametrize("n_tau", [0, 1])
+    def test_penrose_scan_of_fewer_than_two_points_exits_3(self, tmp_path, n_tau):
+        doc = dict(TINY, penrose={"n_tau": n_tau})
+        proc = run_cli("penrose-check", write_config(tmp_path, doc), "--out", str(tmp_path / "pen"))
+        assert proc.returncode == EXIT_INVARIANT
+        assert proc.stderr == f"invariant violation: n_tau must be >= 2, got {n_tau}\n"
+        assert not (tmp_path / "pen").exists()
 
     def test_non_finite_state_exits_3(self, tmp_path, capsys):
         doc = dict(TINY, epsilon=1.0)

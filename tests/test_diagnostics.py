@@ -103,7 +103,6 @@ class TestQMonitor:
                           check_stability=False)
         traj = H.run(cfg)
         mon = H.q_monitor(traj)
-        assert mon.m_kernel == 2
         assert np.array_equal(mon.times, traj.snapshot_times)
         w = np.sqrt(1 + traj.snapshot_times ** 2)
         assert np.allclose(mon.growth_part, traj.norm_history[:, 10] / w ** 5)

@@ -226,3 +226,34 @@ class TestFieldCsv:
         f = H.SpectralField(REF_GRID, np.zeros(REF_GRID.shape))
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
+
+
+class TestSeriesCsv:
+    def test_bytes_equal_to_per_element_writer(self, tmp_path):
+        def per_element(path, header, columns):
+            with open(path, "w") as fh:
+                fh.write(header + "\n")
+                for row in zip(*[np.asarray(c) for c in columns]):
+                    fh.write(",".join("%.17g" % float(x) for x in row) + "\n")
+
+        rng = np.random.default_rng(13)
+        rows = 4001
+        columns = [rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows) for _ in range(7)]
+        columns[1][::7] = np.nan
+        columns[2][::11] = np.inf
+        columns[2][5::11] = -np.inf
+        columns[3][::5] = -0.0
+        columns[4][::3] = 5e-324
+        columns[5][:4] = (-1.7976931348623157e308, 0.1, -2.0 / 3.0, 1.0)
+        columns.append(np.arange(rows))
+        header = ",".join(f"c{i}" for i in range(len(columns)))
+        # and the (gamma, T, ratio) tuples that volterra-bench writes, transposed with zip
+        table = [(2.0, 25.0, 0.5), (3.0, 50, 1.25), (4.0, 100.0, float("nan"))]
+        for name, head, cols in (("wide", header, columns), ("bench", "gamma,T,ratio", list(zip(*table)))):
+            got, ref = tmp_path / f"{name}_got.csv", tmp_path / f"{name}_ref.csv"
+            H.grids.write_series_csv(got, head, cols)
+            per_element(ref, head, cols)
+            assert got.read_bytes() == ref.read_bytes()
+        fields = set((tmp_path / "wide_got.csv").read_text().replace("\n", ",").split(","))
+        assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "4000"} <= fields
+

@@ -288,7 +288,6 @@ class TestScanPathVerdicts:
             assert a.stable == b.stable
             for ma, mb in zip(a.modes, b.modes, strict=True):
                 assert (ma.winding, ma.stable) == (mb.winding, mb.stable)
-                assert ma.tail_bound == mb.tail_bound
                 assert abs(ma.min_real_axis - mb.min_real_axis) < 1e-11
                 assert ma.tau_scan.shape == mb.tau_scan.shape
                 assert np.max(np.abs(ma.tau_scan - mb.tau_scan)) < 1e-11

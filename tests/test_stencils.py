@@ -140,25 +140,6 @@ class TestNormLadder:
         for n in range(8):
             assert np.array_equal(H.norm_ladder(f, n), full[: n + 1]), f"max_order {n}"
 
-    @pytest.mark.parametrize("m0", [1, 2])
-    def test_work_buffer_gives_the_same_ladder(self, m0):
-        grid = LADDER_GRIDS[m0]
-        f = random_band_limited(np.random.default_rng(5), grid)
-        work = np.full((4,) + grid.shape, np.nan)
-        assert np.array_equal(H.norm_ladder(f, 7, work=work), H.norm_ladder(f, 7))
-        with pytest.raises(ValueError, match="work"):
-            H.norm_ladder(f, 7, work=np.empty((3,) + grid.shape))
-
-    @pytest.mark.parametrize("m0", [1, 2])
-    def test_bare_array_gives_the_same_ladder(self, m0):
-        grid = LADDER_GRIDS[m0]
-        f = random_band_limited(np.random.default_rng(6), grid)
-        assert np.array_equal(H.norm_ladder(f.values.copy(), 7, grid=grid), H.norm_ladder(f, 7))
-        with pytest.raises(TypeError, match="grid"):
-            H.norm_ladder(f.values, 7)
-        with pytest.raises(ValueError, match="shape"):
-            H.norm_ladder(f.values[:, :-1], 7, grid=grid)
-
     def test_negative_total_warns_and_reads_zero(self):
         # fields that do not vanish at the window edge: the half trapezoid
         # weights at the end nodes make the discrete form indefinite
@@ -200,6 +181,36 @@ def shift_cases(grid):
     out += [0.37 * grid.dxi, -2.61 * grid.dxi, grid.xi_max - 0.5 * grid.dxi,
             2 * grid.xi_max + 0.3, -3 * grid.xi_max]
     return out
+
+
+def searchsorted_window(grid, shift):
+    """shift_plan's window [lo, hi) in margined columns, as np.searchsorted finds it on xi - shift."""
+    t = grid.xi - shift
+    return (int(np.searchsorted(t, -grid.xi_max, side="left")) + H.grids.MARGIN,
+            int(np.searchsorted(t, grid.xi_max, side="right")) + H.grids.MARGIN)
+
+
+class TestShiftPlanWindow:
+    @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=["dxi0.125", "dxi0.06"])
+    def test_equals_the_search_over_shift_cases(self, grid):
+        for shift in shift_cases(grid):
+            assert H.shift_plan(grid, shift)[:2] == searchsorted_window(grid, shift), f"shift {shift!r}"
+
+    def test_equals_the_search_at_the_scattering_stage_times(self):
+        # the scattering benchmark workload's config: 5x361, dt = 0.04, 200 steps;
+        # run() shifts by k t at t = times[i-1], times[i-1] + dt/2 and times[i]
+        grid, dt, n_steps = H.make_grid(2, 18.0, 361, 1), 0.04, 200
+        times = np.arange(n_steps + 1) * dt
+        near_whole_cell = 0
+        for i in range(1, n_steps + 1):
+            for t in (times[i - 1], times[i - 1] + 0.5 * dt, times[i]):
+                for k in (-2, -1, 1, 2):
+                    shift = k * t
+                    assert H.shift_plan(grid, shift)[:2] == searchsorted_window(grid, shift), f"shift {shift!r}"
+                    cells = shift / grid.dxi
+                    near_whole_cell += abs(cells - round(cells)) < 1e-9
+        # shifts on a whole cell put a node's difference at +-xi_max, to roundoff
+        assert near_whole_cell > 100
 
 
 def margined(vals):
