@@ -118,6 +118,15 @@ def _section(doc: dict, name: str) -> dict:
     return out
 
 
+def _check_bench_mode(bench: dict, kernel: InteractionKernel) -> None:
+    """ConfigError unless bench.mode is one of the kernel's active modes: the
+    memory kernel of any other mode is zero, and its bench would measure nothing."""
+    active = kernel.active_modes()
+    if bench["mode"] not in active:
+        raise ConfigError(f"bench.mode {bench['mode']} is not an active mode of the kernel (active modes: "
+                          f"{', '.join(map(str, active)) or 'none'})")
+
+
 def parse_config(path) -> tuple[SimConfig, dict]:
     """
     Parse and validate a JSON config against _SCHEMA, failing fast.
@@ -150,6 +159,8 @@ def parse_config(path) -> tuple[SimConfig, dict]:
                         record_every=top["record_every"], s=top["s"])
     except (ValueError, OSError) as exc:
         raise ConfigError(" ".join(str(exc).split())) from exc
+    if "bench" in extras:
+        _check_bench_mode(extras["bench"], cfg.kernel)
     cfg.validate()
     bench = extras.get("bench", {"t_list": ()})
     for t_final in bench["t_list"]:
@@ -223,6 +234,7 @@ def cmd_penrose_check(config_path, out: str | None) -> int:
 def cmd_volterra_bench(config_path, out: str | None) -> int:
     cfg, extras = parse_config(config_path)
     opts = extras.get("bench") or _section({}, "bench")
+    _check_bench_mode(opts, cfg.kernel)      # the default mode 1 too
     rows = lemvolterra_harness(cfg.kernel, cfg.profile, opts["gammas"], opts["t_list"], dt=opts["dt"],
                                mode=opts["mode"])
     d = _out_dir(out, "volterra")

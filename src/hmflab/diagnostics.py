@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import InvariantViolation, SpectralField, sobolev_norm
-from .profiles import HomogeneousProfile, fourier_sum, profile_values, tabulated
+from .profiles import HomogeneousProfile, chirp_z, profile_values, tabulated
 from .simulate import Trajectory, assemble_rhs
 from .volterra import ModeSeries
 
@@ -216,9 +216,11 @@ def weak_limit_profile(g_inf: SpectralField, prof: HomogeneousProfile, epsilon: 
 
     (the x-average is exactly the n = 0 row under the transform convention).
     The result is inverse-transformed onto 961 uniform points of [-12, 12]
-    and returned as a tabulated profile.
+    by a chirp-z transform (the xi nodes are the centres of cells of width
+    dxi) and returned as a tabulated profile.
     """
     grid = g_inf.grid
     v = np.linspace(-12.0, 12.0, 961)
-    correction = fourier_sum(grid.xi, grid.trapz_weights() * g_inf.mode(0), -v) / (2.0 * np.pi)
+    weights = grid.trapz_weights() * g_inf.mode(0)
+    correction = chirp_z(weights, grid.xi[0] - 0.5 * grid.dxi, grid.dxi, 0.0, -v) / (2.0 * np.pi)
     return tabulated(v, profile_values(prof, v) + epsilon * correction.real)

@@ -26,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sp_fft
 
-from .profiles import HomogeneousProfile, fourier_sum, gauss_panels, profile_hat
+from .profiles import HomogeneousProfile, chirp_z, fourier_sum, gauss_panels, profile_hat
 
 __all__ = [
     "InteractionKernel",
@@ -133,59 +132,16 @@ def _kernel_cutoff(ik: InteractionKernel, prof: HomogeneousProfile, n: int) -> f
 def _panel_rule(ik, prof, n, tau_abs_max: float):
     """
     Composite 16-point Gauss-Legendre rule resolving exp(-i tau t) phases for
-    |Re tau| <= tau_abs_max: ``(nodes, fw, t_cut)``, with the nodes and the
+    |Re tau| <= tau_abs_max: ``(nodes, fw, hp)``, with the nodes and the
     weights times K(n, nodes) as (n_panels, 16) arrays on uniform panels of
-    [0, t_cut] (see :func:`_transform_uniform_scan`).
+    width hp on [0, t_cut].  K is sampled offset by offset, 16 uniform
+    families of panel-spaced nodes, so a tabulated transform takes chirp-z.
     """
     t_cut = _kernel_cutoff(ik, prof, n)
     h = min(0.25, 8.0 / max(tau_abs_max, 1.0))
-    nodes, w = gauss_panels(0.0, t_cut, max(4, int(np.ceil(t_cut / h))), _GL16)
-    return nodes, w * memory_kernel(ik, prof, n, nodes.ravel()).reshape(nodes.shape), t_cut
-
-
-def _transform_uniform_scan(rule, taus: np.ndarray):
-    """
-    Khat on a uniform real scan (as from ``np.linspace``) by chirp-z
-    transforms over a panel ``rule`` that resolves max|taus|.
-
-    Count the rule's panels p and the scan points j from their centres pc and
-    jc: the nodes are t_c + p hp + (hp/2) x_g and tau_j = tau_c + j dtau, so
-    with a = hp dtau
-
-        Khat(tau_j) = sum_g exp(-i tau_j (t_c + (hp/2) x_g)) A_g[j],
-        A_g[j] = sum_p fw[p, g] exp(-i tau_c hp p) exp(-i a j p),
-
-    one chirp-z transform over the panels per Gauss offset; Bluestein's
-    j p = (j^2 + p^2 - (j - p)^2) / 2 makes it one FFT convolution.  This is
-    O((n_panels + n_tau) log) work in place of n_tau * 16 n_panels complex
-    exponentials.  Centring the indices keeps the chirp phases, and with
-    them the roundoff, four times smaller.
-
-    Where 1 - Khat comes within ``_NEAR_ORIGIN`` of the origin, the winding
-    hinges on the last digits (at a critical parameter the curve passes
-    through it), so those points take the dense sum on the same rule and
-    carry exactly the dense path's values.
-    """
-    nodes, fw, t_cut = rule
-    n_panels, n_tau = fw.shape[0], taus.size
-    hp = t_cut / n_panels
-    a = hp * (taus[-1] - taus[0]) / max(n_tau - 1, 1)
-    jc, pc = (n_tau - 1) // 2, (n_panels - 1) // 2
-    j = np.arange(n_tau) - jc
-    p = np.arange(n_panels) - pc
-    lags = np.arange(1 - n_panels, n_tau) - (jc - pc)      # every j - p
-    size = sp_fft.next_fast_len(n_panels + n_tau - 1)
-    chirp = np.zeros(size, dtype=np.complex128)
-    chirp[:n_tau] = np.exp(0.5j * a * lags[n_panels - 1:] ** 2)
-    chirp[size - n_panels + 1:] = np.exp(0.5j * a * lags[:n_panels - 1] ** 2)
-    x = fw.T * np.exp(-1j * (taus[jc] * hp * p + 0.5 * a * p * p))
-    conv = sp_fft.ifft(sp_fft.fft(x, size, axis=-1) * sp_fft.fft(chirp), axis=-1)[:, :n_tau]
-    outer = np.exp(-1j * np.multiply.outer(taus, (pc + 0.5) * hp + (0.5 * hp) * _GL16[0]))
-    khat = np.add.reduce(outer * (conv * np.exp(-0.5j * a * j * j)).T, axis=1)
-    near = np.nonzero(np.abs(1.0 - khat) < _NEAR_ORIGIN)[0]
-    if near.size:
-        khat[near] = fourier_sum(nodes, fw, taus[near])
-    return khat
+    n_panels = max(4, int(np.ceil(t_cut / h)))
+    nodes, w = gauss_panels(0.0, t_cut, n_panels, _GL16)
+    return nodes, w * memory_kernel(ik, prof, n, nodes.T).T, t_cut / n_panels
 
 
 def memory_kernel_transform(ik: InteractionKernel, prof: HomogeneousProfile, n: int, tau):
@@ -278,7 +234,7 @@ def _scan_mode(ik, prof, n, kappa_target, scan: ScanParameters) -> ModeStability
     # the scan, its near-origin points and every refinement midpoint
     probes = [16.0 * 2.0 ** k for k in range(16)] if scan.tau_max is None else [float(scan.tau_max)]
     for tau_max in probes:
-        nodes, fw, _ = rule = _panel_rule(ik, prof, n, tau_max)
+        nodes, fw, hp = _panel_rule(ik, prof, n, tau_max)
         edge = abs(fourier_sum(nodes, fw, tau_max))
         if edge < tail_threshold:
             break
@@ -289,8 +245,14 @@ def _scan_mode(ik, prof, n, kappa_target, scan: ScanParameters) -> ModeStability
         raise ScanRefinementError(
             f"mode {n}: tau_max={scan.tau_max} too small, |Khat(tau_max)|={edge:.3e} >= {tail_threshold:.1e}")
 
+    # the uniform scan by chirp-z; where 1 - Khat comes within _NEAR_ORIGIN of
+    # the origin the winding hinges on the last digits (at a critical parameter
+    # the curve passes through it), so those points take the dense sum
     taus = np.linspace(-tau_max, tau_max, scan.n_tau)
-    z = 1.0 - _transform_uniform_scan(rule, taus)
+    z = 1.0 - chirp_z(fw, 0.0, hp, (0.5 * hp) * _GL16[0], taus)
+    near = np.nonzero(np.abs(z) < _NEAR_ORIGIN)[0]
+    if near.size:
+        z[near] = 1.0 - fourier_sum(nodes, fw, taus[near])
 
     # refine until every adjacent pair subtends at most pi/2 about the origin
     for _ in range(_MAX_REFINEMENTS):

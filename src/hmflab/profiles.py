@@ -8,7 +8,8 @@ A background eta(v) enters the dynamics only through its velocity transform
 (the torus measure cancels the 1/2pi transform prefactor for x-independent
 functions, so etahat(0) equals the mass).  Closed forms are used where
 available; tabulated profiles are integrated with oscillation-aware
-Gauss-Legendre panels on a cubic-spline interpolant.
+Gauss-Legendre panels on a cubic-spline interpolant, summed by chirp-z
+transforms on uniform targets and densely on any others.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sp_fft
 
 __all__ = [
     "HomogeneousProfile",
@@ -27,12 +29,13 @@ __all__ = [
     "profile_values",
     "gauss_panels",
     "fourier_sum",
+    "chirp_z",
     "synth_initial",
     "load_profile_csv",
     "save_profile_csv",
 ]
 
-from .grids import PhaseGrid, SpectralField
+from .grids import PhaseGrid, SpectralField, write_series_csv
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,58 @@ def fourier_sum(nodes, weights, targets):
     return out.reshape(np.shape(targets))
 
 
+def _is_uniform(taus) -> bool:
+    """Whether ``taus`` is a real 1-D progression of at least 2 points, each
+    within 16 ulps of max|taus| of tau_c + j dtau (counted from the centre)."""
+    if taus.ndim != 1 or taus.size < 2 or np.iscomplexobj(taus):
+        return False
+    jc = (taus.size - 1) // 2
+    dtau = (taus[-1] - taus[0]) / (taus.size - 1)
+    ideal = taus[jc] + (np.arange(taus.size) - jc) * dtau
+    return bool(np.max(np.abs(taus - ideal)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(taus)))
+
+
+def chirp_z(weights, a: float, step: float, offsets, taus):
+    """
+    sum_{p,g} weights[p, g] exp(-i tau x[p, g]) for every tau of ``taus``, a
+    uniform 1-D progression (a ValueError otherwise), by chirp-z transforms.
+
+    The nodes sit on ``P = len(weights)`` uniform panels of width ``step``
+    from ``a``, as ``gauss_panels`` builds them: x[p, g] = a + (p + 1/2) step
+    + offsets[g]; 1-D weights take one node per panel and a scalar offset.
+    Count the panels p and the targets j from their centres pc and jc: with
+    tau_j = tau_c + j dtau, x_g = a + (pc + 1/2) step + offsets[g] and
+    alpha = step dtau,
+
+        sum(tau_j) = sum_g exp(-i tau_j x_g) A_g[j],
+        A_g[j] = sum_p weights[p, g] exp(-i tau_c step p) exp(-i alpha j p),
+
+    one chirp-z transform over the panels per offset; Bluestein's
+    j p = (j^2 + p^2 - (j - p)^2) / 2 makes it one FFT convolution.  This is
+    O((P + n_tau) log) work in place of n_tau * P * len(offsets) complex
+    exponentials.  Centring the indices keeps the chirp phases, and with
+    them the roundoff, four times smaller.
+    """
+    taus = np.asarray(taus)
+    if not _is_uniform(taus):
+        raise ValueError("chirp_z needs a real uniform progression of at least 2 targets")
+    fw = np.reshape(weights, (len(weights), -1))
+    n_panels, n_tau = fw.shape[0], taus.size
+    alpha = step * (taus[-1] - taus[0]) / (n_tau - 1)
+    jc, pc = (n_tau - 1) // 2, (n_panels - 1) // 2
+    j = np.arange(n_tau) - jc
+    p = np.arange(n_panels) - pc
+    lags = np.arange(1 - n_panels, n_tau) - (jc - pc)      # every j - p
+    size = sp_fft.next_fast_len(n_panels + n_tau - 1)
+    chirp = np.zeros(size, dtype=np.complex128)
+    chirp[:n_tau] = np.exp(0.5j * alpha * lags[n_panels - 1:] ** 2)
+    chirp[size - n_panels + 1:] = np.exp(0.5j * alpha * lags[:n_panels - 1] ** 2)
+    x = fw.T * np.exp(-1j * (taus[jc] * step * p + 0.5 * alpha * p * p))
+    conv = sp_fft.ifft(sp_fft.fft(x, size, axis=-1) * sp_fft.fft(chirp), axis=-1)[:, :n_tau]
+    outer = np.exp(-1j * np.multiply.outer(taus, a + (pc + 0.5) * step + np.atleast_1d(offsets)))
+    return np.add.reduce(outer * (conv * np.exp(-0.5j * alpha * j * j)).T, axis=1)
+
+
 def _tabulated_rule(prof: HomogeneousProfile, xi_abs_max: float):
     """
     Gauss-Legendre nodes/weights resolving exp(-i*xi*v) up to xi_abs_max.
@@ -158,7 +213,8 @@ def profile_hat(prof: HomogeneousProfile, xi):
 
     Closed form for "maxwellian" and "two_stream" (real, even); quadrature on
     the spline interpolant for "tabulated" (absolute error well below 1e-10
-    for smooth decaying tables).  Accepts scalars or arrays.
+    for smooth decaying tables), by chirp-z along each uniform last-axis
+    family of ``xi``.  Accepts scalars or arrays.
     """
     scalar = np.isscalar(xi)
     x = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -167,8 +223,43 @@ def profile_hat(prof: HomogeneousProfile, xi):
     elif prof.kind == "two_stream":
         out = prof.mass * np.exp(-prof.T * x * x / 2.0) * np.cos(prof.v0 * x)
     else:
-        out = fourier_sum(*_tabulated_rule(prof, float(np.max(np.abs(x))) if x.size else 1.0), x)
+        out = _tabulated_hat(prof, x)
     return out[0] if scalar else out
+
+
+def _tabulated_hat(prof: HomogeneousProfile, x: np.ndarray) -> np.ndarray:
+    """
+    A tabulated profile's transform at ``x`` on the rule that resolves
+    max|x|.  Each family along the last axis of ``x`` that is a uniform
+    progression takes ``chirp_z``, any other the dense ``fourier_sum``.
+
+    The weights are real, so etahat(-x) = conj(etahat(x)), and the chirp-z
+    path keeps that bitwise: a family whose ends sum below zero is evaluated
+    as the conjugate of its mirror -x[::-1], and a family that is its own
+    mirror as the mean of its values and their mirror image.  So the rows
+    xi - n t and xi + n t of a run are bitwise mirrors, as with the dense sum.
+    """
+    if not x.size:
+        return np.empty(x.shape, dtype=np.complex128)
+    nodes, weights = _tabulated_rule(prof, float(np.max(np.abs(x))))
+    v = prof.v_samples
+    step = (v[-1] - v[0]) / weights.shape[0]
+    offsets = (0.5 * step) * _GL8[0]
+    families = np.reshape(x, (-1, x.shape[-1]))
+    out = np.empty(families.shape, dtype=np.complex128)
+    for row, fam in zip(out, families):
+        flip = fam[0] + fam[-1] < 0.0
+        canonical = -fam[::-1] if flip else fam
+        if not _is_uniform(canonical):
+            row[:] = fourier_sum(nodes, weights, fam)
+            continue
+        vals = chirp_z(weights, v[0], step, offsets, canonical)
+        if flip:
+            vals = np.conj(vals[::-1])
+        elif np.array_equal(fam, -fam[::-1]):
+            vals = 0.5 * (vals + np.conj(vals[::-1]))
+        row[:] = vals
+    return out.reshape(x.shape)
 
 
 def profile_values(prof: HomogeneousProfile, v):
@@ -198,10 +289,7 @@ def save_profile_csv(prof: HomogeneousProfile, path) -> None:
     """Write a tabulated profile's samples as ``v,eta`` CSV."""
     if prof.kind != "tabulated":
         raise ValueError(f"only tabulated profiles are saved, got a {prof.kind} profile")
-    with open(path, "w") as fh:
-        fh.write("v,eta\n")
-        for vi, ei in zip(prof.v_samples, prof.eta_samples):
-            fh.write(f"{vi:.17g},{ei:.17g}\n")
+    write_series_csv(path, "v,eta", [prof.v_samples, prof.eta_samples])
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,9 @@ MALFORMED = {
     "dt null": (dict(TINY, dt=None), "dt"),
     "perturbation a number": (dict(TINY, perturbation=5), "perturbation"),
     "bench a number": (dict(TINY, bench=3), "bench"),
+    "bench.mode 0": (dict(TINY, bench={"mode": 0}), "bench.mode"),
+    "bench.mode 5": (dict(TINY, bench={"mode": 5}), "bench.mode"),
+    "bench.mode -1": (dict(TINY, bench={"mode": -1}), "bench.mode"),
     "missing table": (dict(TINY, profile={"kind": "tabulated", "path": "missing.csv"}), "path"),
     "epsilon a string": (dict(TINY, epsilon="x"), "epsilon"),
     "n_tau a string": (dict(TINY, penrose={"n_tau": "x"}), "n_tau"),
@@ -277,6 +280,14 @@ class TestSubcommands:
         lines = (out / "volterra_bench.csv").read_text().splitlines()
         assert lines[0] == "gamma,T,ratio"
         assert len(lines) == 5
+
+    def test_volterra_bench_default_mode_refused_when_inactive(self, tmp_path, capsys):
+        # no bench section: the default mode 1, which this kernel does not carry
+        doc = dict(TINY, n_max=2, xi_max=30.0, s=10, kernel={"p": [0.0, 0.5]})
+        assert main(["volterra-bench", write_config(tmp_path, doc), "--out", str(tmp_path / "b")]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("config error: bench.mode 1 is not an active mode of the kernel "
+                                           "(active modes: 2)\n")
+        assert not (tmp_path / "b").exists()
 
     def test_volterra_bench_unstable_refused(self, tmp_path, capsys):
         doc = dict(TINY)

@@ -1,5 +1,7 @@
 """Memory kernel, its half-plane transform, and the winding stability check."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy.special import wofz
@@ -239,10 +241,17 @@ class TestOneRulePerQuestion:
         assert rules() == 1
 
 
-def dense_uniform_scan(rule, taus):
-    """The initial scan as the dense sum on the same panel rule: the
-    reference for the chirp-z scan path."""
-    return profiles.fourier_sum(rule[0], rule[1], taus)
+def chirp_scan(rule, taus):
+    """The initial scan as _scan_mode takes it: chirp-z over the panel rule."""
+    _, fw, hp = rule
+    return profiles.chirp_z(fw, 0.0, hp, (0.5 * hp) * penrose._GL16[0], taus)
+
+
+def dense_chirp_z(weights, a, step, offsets, taus):
+    """chirp_z's sum taken densely on the nodes it stands for: the reference
+    for the chirp-z scan path."""
+    p = np.arange(len(weights))[:, None]
+    return profiles.fourier_sum(a + (p + 0.5) * step + offsets, weights, taus)
 
 
 class TestUniformScanTransform:
@@ -253,8 +262,8 @@ class TestUniformScanTransform:
         taus = np.linspace(-tau_max, tau_max, n_tau)
         prof = H.maxwellian(T)
         rule = penrose._panel_rule(TWO, prof, n, tau_max)
-        got = penrose._transform_uniform_scan(rule, taus)
-        dense = dense_uniform_scan(rule, taus)
+        got = chirp_scan(rule, taus)
+        dense = profiles.fourier_sum(rule[0], rule[1], taus)
         # K(n, t) = -n^2 p_n t exp(-n^2 T t^2 / 2)
         exact = khat_closed_form(n * n * TWO.coefficient(n), n * n * T, taus)
         # the public transform sums the same rule for these taus
@@ -266,8 +275,8 @@ class TestUniformScanTransform:
         # etahat = exp(-T xi^2 / 2) cos(v0 xi) shifts the maxwellian transform by +-v0
         taus = np.linspace(-32.0, 32.0, 1201)
         rule = penrose._panel_rule(COS, H.two_stream(0.3, 1.7), 1, 32.0)
-        got = penrose._transform_uniform_scan(rule, taus)
-        dense = dense_uniform_scan(rule, taus)
+        got = chirp_scan(rule, taus)
+        dense = profiles.fourier_sum(rule[0], rule[1], taus)
         exact = 0.5 * (khat_closed_form(0.5, 0.3, taus - 1.7) + khat_closed_form(0.5, 0.3, taus + 1.7))
         assert np.max(np.abs(got - dense)) < 1e-10
         assert np.max(np.abs(got - exact)) < 1e-10
@@ -281,7 +290,7 @@ VERDICT_CASES += [(COS, H.two_stream(0.2, 1.5)), (ANTI, H.two_stream(0.5, 1.0))]
 class TestScanPathVerdicts:
     def test_identical_to_dense_scan(self, monkeypatch):
         fast = [H.penrose_check(k, p) for k, p in VERDICT_CASES]
-        monkeypatch.setattr(penrose, "_transform_uniform_scan", dense_uniform_scan)
+        monkeypatch.setattr(penrose, "chirp_z", dense_chirp_z)
         slow = [H.penrose_check(k, p) for k, p in VERDICT_CASES]
         assert any(not r.stable for r in fast) and any(r.stable for r in fast)
         for a, b in zip(fast, slow):
@@ -295,5 +304,52 @@ class TestScanPathVerdicts:
     def test_critical_temperature_identical_to_dense_scan(self, monkeypatch):
         family = lambda T: (ANTI, H.maxwellian(T))
         fast = H.critical_parameter(family, 0.1, 1.0, tol=1e-3)
-        monkeypatch.setattr(penrose, "_transform_uniform_scan", dense_uniform_scan)
+        monkeypatch.setattr(penrose, "chirp_z", dense_chirp_z)
         assert H.critical_parameter(family, 0.1, 1.0, tol=1e-3) == fast
+
+
+def table(T=1.0, n=961, half_width=12.0):
+    v = np.linspace(-half_width, half_width, n)
+    return H.tabulated(v, np.exp(-v * v / (2 * T)) / np.sqrt(2 * np.pi * T))
+
+
+class TestTabulatedBackground:
+    """The tabulated kernel takes chirp-z on its 16 Gauss-offset families; checked
+    against the dense sum it replaces and against the closed-form maxwellian."""
+
+    @pytest.mark.parametrize("ik, n", [(COS, 1), (TWO, 2)])
+    def test_panel_families_match_dense_sum(self, ik, n):
+        prof = table(1.0, 161, 8.0)
+        nodes, fw, hp = penrose._panel_rule(ik, prof, n, 32.0)
+        _, w = profiles.gauss_panels(0.0, hp * nodes.shape[0], nodes.shape[0], penrose._GL16)
+        x = n * nodes[::37]                    # every 37th panel of each family, densely
+        dense = profiles.fourier_sum(*profiles._tabulated_rule(prof, float(n * nodes.max())), x)
+        # measured over all panels: at most 2.9e-13 absolute on fw (|K| up to 0.3)
+        assert np.max(np.abs(fw[::37] - w[::37] * (-n * ik.coefficient(n)) * x * dense)) < 1e-10
+
+    @pytest.mark.parametrize("prof", [table(), table(0.3, 161, 8.0), table(2.0, 1601, 16.0)], ids=["961", "161", "1601"])
+    def test_kernel_cutoff_is_that_of_the_dense_sample(self, prof):
+        # a spline table's transform decays algebraically: even the dense sum keeps
+        # |K| above the 1e-16 threshold at the last sample (measured >= 3.1e-14 at
+        # t = 400), so the cutoff is the 400 cap whichever sum takes the sample
+        rule = profiles._tabulated_rule(prof, penrose._T_CUT_CAP)
+        assert abs(0.5 * penrose._T_CUT_CAP * profiles.fourier_sum(*rule, penrose._T_CUT_CAP)) >= penrose._KERNEL_TINY
+        assert penrose._kernel_cutoff(COS, prof, 1) == penrose._T_CUT_CAP
+
+    @pytest.mark.parametrize("ik, T", [(COS, 1.0), (TWO, 1.0), (ANTI, 1.0), (ANTI, 0.3)])
+    def test_verdict_of_the_closed_form(self, ik, T):
+        got, ref = H.penrose_check(ik, table(T)), H.penrose_check(ik, H.maxwellian(T))
+        for a, b in zip(got.modes, ref.modes, strict=True):
+            assert (a.winding, a.stable) == (b.winding, b.stable)
+            # measured: 2.3e-7 at the anticosine (the table's own transform error,
+            # summed over t up to 400), 1.3e-8 otherwise
+            assert abs(a.kappa_est - b.kappa_est) < 1e-6
+
+    def test_runtime_guard(self):
+        # measured on a 2-core VM: 0.1-0.4 s, and 46 s with the kernel sampled densely
+        prof = table()
+        start = time.perf_counter()
+        report = H.penrose_check(COS, prof)
+        elapsed = time.perf_counter() - start
+        assert report.stable
+        assert elapsed < 5.0, f"penrose_check on a 961-point table took {elapsed:.1f} s"
