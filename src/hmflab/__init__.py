@@ -47,7 +47,6 @@ from .volterra import (
     lemvolterra_harness,
     product_trapezoid,
     solve_volterra,
-    weighted_sup,
 )
 from .simulate import (
     NonFiniteState,

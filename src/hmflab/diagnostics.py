@@ -215,12 +215,18 @@ def weak_limit_profile(g_inf: SpectralField, prof: HomogeneousProfile, epsilon: 
         etainf_hat(xi) = etahat(xi) + eps * ghat_inf_0(xi),
 
     (the x-average is exactly the n = 0 row under the transform convention).
-    The result is inverse-transformed onto 961 uniform points of [-12, 12]
-    by a chirp-z transform (the xi nodes are the centres of cells of width
-    dxi) and returned as a tabulated profile.
+    The result is inverse-transformed by a chirp-z transform (the xi nodes
+    are the centres of cells of width dxi) onto v at spacing 0.025: the 961
+    points of [-12, 12], or that window doubled until the background at
+    both ends is below 1e-16 of its peak on it.  It is returned as a
+    tabulated profile.
     """
     grid = g_inf.grid
     v = np.linspace(-12.0, 12.0, 961)
+    eta = profile_values(prof, v)
+    while max(abs(eta[0]), abs(eta[-1])) > 1e-16 * np.max(np.abs(eta)):
+        v = np.linspace(2.0 * v[0], 2.0 * v[-1], 2 * v.size - 1)
+        eta = profile_values(prof, v)
     weights = grid.trapz_weights() * g_inf.mode(0)
     correction = chirp_z(weights, grid.xi[0] - 0.5 * grid.dxi, grid.dxi, 0.0, -v) / (2.0 * np.pi)
-    return tabulated(v, profile_values(prof, v) + epsilon * correction.real)
+    return tabulated(v, eta + epsilon * correction.real)

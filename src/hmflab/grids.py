@@ -175,9 +175,8 @@ def _read(row: np.ndarray, grid: PhaseGrid, x: float) -> complex:
     n = grid.n_xi
     pos = (x + grid.xi_max) / grid.dxi
     i0 = math.floor(pos)
-    b = min(max(i0, -1), n - 1)
     wm1, w0, w1, w2 = _lagrange_weights(pos - i0)
-    taps = [complex(row[i]) if 0 <= i < n else 0j for i in range(b - 1, b + 3)]
+    taps = [complex(row[i]) if 0 <= i < n else 0j for i in range(i0 - 1, i0 + 3)]
     return wm1 * taps[0] + w0 * taps[1] + w1 * taps[2] + w2 * taps[3]
 
 
@@ -289,8 +288,7 @@ def _ladder_plan(grid: PhaseGrid, max_order: int):
     ``kfac[m]`` is sum_{p <= m} n^{2p} per mode.
     """
     n = grid.n_xi
-    half = np.ones(n)
-    half[[0, -1]] = 0.5
+    half = grid.trapz_weights() / grid.dxi
     xi = grid.xi
     ident = np.empty((max_order + 1, n))
     bands = np.empty((max_order + 1, 3, n))

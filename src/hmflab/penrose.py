@@ -298,6 +298,18 @@ def penrose_check(ik: InteractionKernel, prof: HomogeneousProfile,
     return PenroseReport(modes=modes, kappa_target=kappa_target)
 
 
+def _bisect(keep_lo, lo: float, hi: float, tol: float) -> float:
+    """Halve [lo, hi] until it is at most ``tol`` wide, moving lo to the
+    midpoint where ``keep_lo(mid)`` holds and hi otherwise; returns the midpoint of the last bracket."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if keep_lo(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 # critical_parameter's scan: coarse, since the subtended-angle refinement loop
 # is the safety net and a bisection takes many verdicts
 _BISECTION_SCAN = ScanParameters(n_tau=601)
@@ -324,13 +336,7 @@ def critical_parameter(family, lo: float, hi: float, tol: float = 1e-3) -> float
     v_hi = verdict(hi)
     if v_lo == v_hi:
         raise ValueError(f"same stability verdict ({v_lo}) at both bracket ends [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if verdict(mid) == v_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda mid: verdict(mid) == v_lo, lo, hi, tol)
 
 
 def growth_rate(ik: InteractionKernel, prof: HomogeneousProfile, n: int = 1) -> float:
@@ -356,11 +362,5 @@ def growth_rate(ik: InteractionKernel, prof: HomogeneousProfile, n: int = 1) -> 
         hi *= 2.0
     else:
         raise RuntimeError("failed to bracket the instability rate")
-    lo = 0.0
-    while hi - lo > _ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    # not h > 0 rather than h <= 0: a nan h moves lo
+    return _bisect(lambda mid: not h(mid) > 0.0, 0.0, hi, _ROOT_TOL)

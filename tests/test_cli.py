@@ -281,6 +281,13 @@ class TestSubcommands:
         assert lines[0] == "gamma,T,ratio"
         assert len(lines) == 5
 
+    def test_volterra_bench_non_positive_time_refused(self, tmp_path, capsys):
+        # T = 0 would read a ratio of 1 off the first sample
+        doc = dict(TINY, bench={"gammas": [2, 3], "t_list": [10.0, 0.0], "dt": 0.05})
+        assert main(["volterra-bench", write_config(tmp_path, doc), "--out", str(tmp_path / "b")]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == "invariant violation: T must be positive, got 0.0\n"
+        assert not (tmp_path / "b").exists()
+
     def test_volterra_bench_default_mode_refused_when_inactive(self, tmp_path, capsys):
         # no bench section: the default mode 1, which this kernel does not carry
         doc = dict(TINY, n_max=2, xi_max=30.0, s=10, kernel={"p": [0.0, 0.5]})

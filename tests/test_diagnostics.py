@@ -227,7 +227,23 @@ class TestWeakLimit:
         res = H.scattering_limit(small_run)
         prof = H.weak_limit_profile(res.field, small_run.config.profile, 0.0)
         v = prof.v_samples
+        assert np.array_equal(v, np.linspace(-12.0, 12.0, 961))   # a narrow background keeps the first window
         assert np.max(np.abs(prof.eta_samples - H.profile_values(H.maxwellian(1.0), v))) == 0.0
+
+    # on [-12, 12] these backgrounds kept mass 0.8413, 0.9836 and 0.99994
+    @pytest.mark.parametrize("prof, n_v", [(H.two_stream(1.0, 11.0), 1921), (H.maxwellian(25.0), 3841),
+                                           (H.maxwellian(9.0), 3841)])
+    def test_wide_background_keeps_its_mass(self, prof, n_v):
+        # with g_inf = 0 the result is the background itself, on a window wide
+        # enough that both ends are below 1e-16 of the peak
+        grid = H.make_grid(1, 8.0, 65, 1)
+        out = H.weak_limit_profile(H.SpectralField(grid, np.zeros(grid.shape)), prof, 0.02)
+        v, eta = out.v_samples, out.eta_samples
+        assert v.size == n_v and v[-1] == -v[0] == 0.0125 * (n_v - 1)
+        assert np.max(np.abs(np.diff(v) - 0.025)) < 1e-13
+        assert np.array_equal(eta, H.profile_values(prof, v))
+        assert max(eta[0], eta[-1]) < 1e-16 * eta.max()
+        assert abs(out.mass - 1.0) <= 1e-15   # measured 2.2e-16 and 0
 
     def test_mass_shift_formula(self, small_run):
         cfg = small_run.config

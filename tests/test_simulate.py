@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import hmflab as H
-from hmflab.grids import symmetrized_values
+from hmflab import simulate, volterra
+from hmflab.grids import MARGIN, symmetrized_values
 
 COS = H.InteractionKernel.cosine()
 
@@ -104,6 +105,25 @@ class TestStep:
         cfg = small_config(epsilon=1.0, t_final=5.0, dt=0.5, amplitude=1e150)
         with pytest.raises(H.NonFiniteState, match=r"non-finite state at t=0\.5 \(step 1\)"):
             H.run(cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_one_non_finite_entry_aborts_at_its_step(self, monkeypatch, bad):
+        # the drift check sees a single nan or inf entry of an otherwise finite state
+        step_values = simulate._step_values
+        steps = []
+
+        def poisoned(values, t, t_next, *args):
+            out = step_values(values, t, t_next, *args)
+            steps.append(t_next)
+            if len(steps) == 5:
+                out[0, MARGIN + 7] = bad
+            return out
+
+        monkeypatch.setattr(simulate, "_step_values", poisoned)
+        cfg = small_config(epsilon=0.05, t_final=1.0, dt=0.1)
+        with pytest.raises(H.NonFiniteState, match=r"non-finite state at t=0\.5 \(step 5\)"):
+            H.run(cfg)
+        assert len(steps) == 5
 
     def test_fourth_order_richardson(self):
         # coarse/half-step/reference on one grid: the fixed spatial bias
@@ -482,6 +502,23 @@ class TestConfigValidation:
                           epsilon=0.0, dt=0.3, t_final=10.0)
         with pytest.raises(H.InvariantViolation, match="multiple"):
             cfg.validate()
+
+    @pytest.mark.parametrize("dt, t_final, message", [
+        (0.0, 10.0, "dt must be positive, got 0.0"),
+        (-0.05, 10.0, "dt must be positive, got -0.05"),
+        (0.05, 0.0, "t_final must be positive, got 0.0"),
+        (0.0, -1.0, "t_final must be positive, got -1.0"),   # both bad: t_final is checked first
+        (0.3, 10.0, "t_final=10.0 is not a multiple of dt=0.3"),
+    ])
+    def test_step_messages_are_those_of_step_count(self, dt, t_final, message):
+        cfg = small_config(dt=0.05, t_final=10.0)
+        with pytest.raises(H.InvariantViolation) as info:
+            replace(cfg, dt=dt, t_final=t_final).validate()
+        assert str(info.value) == message
+        if t_final > 0:
+            with pytest.raises(ValueError) as raw:
+                volterra.step_count(t_final, dt)
+            assert str(raw.value) == message
 
 
 class TestTabulatedRun:

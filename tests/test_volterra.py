@@ -1,4 +1,4 @@
-"""Product-trapezoidal Volterra solver and weighted sup-norm machinery."""
+"""Product-trapezoidal Volterra solver and the boundedness harness."""
 
 import numpy as np
 import pytest
@@ -215,31 +215,6 @@ class TestModeSeries:
 
 
 
-class TestWeightedSup:
-    def test_constant_series(self):
-        t = np.arange(0, 101) * 0.1
-        s = H.ModeSeries(t, {1: np.ones_like(t, dtype=complex)})
-        assert H.weighted_sup(s, 0.0) == 1.0
-
-    def test_exact_cancellation(self):
-        t = np.arange(0, 101) * 0.1
-        s = H.ModeSeries(t, {1: (1 + t * t) ** -1.5 + 0j})
-        assert H.weighted_sup(s, 3.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_gaussian_series_dense_scan_oracle(self):
-        # max of (1 + t^2) exp(-t^2/2) sits at t = 1 with value 2 exp(-1/2)
-        # (dense-scan oracle; the stationary points are t = 0, 1)
-        t = np.arange(0, 10001) * 1e-3
-        s = H.ModeSeries(t, {1: np.exp(-t * t / 2) + 0j})
-        assert H.weighted_sup(s, 2.0) == pytest.approx(2 * np.exp(-0.5), abs=1e-6)
-
-    def test_negative_gamma_rejected(self):
-        t = np.arange(0, 11) * 0.1
-        s = H.ModeSeries(t, {1: np.ones_like(t, dtype=complex)})
-        with pytest.raises(ValueError, match="gamma"):
-            H.weighted_sup(s, -1.0)
-
-
 class TestHarness:
     def test_zero_kernel_gives_unit_ratios(self):
         rows = H.lemvolterra_harness(H.InteractionKernel((0.0,)), H.maxwellian(1.0),
@@ -253,14 +228,20 @@ class TestHarness:
         ik, prof, dt = H.InteractionKernel.cosine(), H.maxwellian(1.0), 0.05
         gammas, t_values = [4.0, 2.0], [30.0, 10.0, 30.0]
         rows = H.lemvolterra_harness(ik, prof, gammas, t_values, dt=dt)
+
+        def weighted_sup(series, gamma):
+            # max over the samples of <t>^gamma |z(t)|, one series at a time
+            w = (1.0 + series.times ** 2) ** (gamma / 2.0)
+            return max(float(np.max(w * np.abs(series.mode(k)))) for k in series.modes)
+
         expected = []
         for gamma in gammas:
             forcing = lambda t: (1.0 + t * t) ** (-gamma / 2.0)
             for t_final in t_values:
                 sol = H.solve_volterra(lambda t: H.memory_kernel(ik, prof, 1, t), forcing,
                                        dt=dt, t_final=t_final, mode=1)
-                den = H.weighted_sup(H.ModeSeries(sol.times, {1: forcing(sol.times)}), gamma)
-                expected.append((gamma, t_final, H.weighted_sup(sol, gamma) / den))
+                den = weighted_sup(H.ModeSeries(sol.times, {1: forcing(sol.times)}), gamma)
+                expected.append((gamma, t_final, weighted_sup(sol, gamma) / den))
         assert rows == expected
 
     def test_short_rows_are_prefixes_of_the_long_march(self):
@@ -276,6 +257,21 @@ class TestHarness:
         with pytest.raises(ValueError, match="multiple"):
             H.lemvolterra_harness(H.InteractionKernel.cosine(), H.maxwellian(1.0),
                                   gammas=[2.0], t_values=[10.0, 10.01], dt=0.02)
+        assert marches == []
+
+    @pytest.mark.parametrize("gammas, t_values, message", [
+        ([2.0, -1.0], [10.0], "gamma must be >= 0, got -1.0"),
+        ([-0.5], [10.0], "gamma must be >= 0, got -0.5"),
+        ([2.0], [10.0, 0.0], "T must be positive, got 0.0"),
+        ([2.0], [-10.0], "T must be positive, got -10.0"),
+    ], ids=["gamma -1 after a good one", "gamma -0.5", "T 0 after a good one", "T -10"])
+    def test_bad_inputs_refused_before_marching(self, monkeypatch, gammas, t_values, message):
+        marches = []
+        monkeypatch.setattr(volterra, "product_trapezoid", lambda *args: marches.append(args))
+        monkeypatch.setattr(volterra, "penrose_check", lambda *args: marches.append(args))
+        with pytest.raises(ValueError) as info:
+            H.lemvolterra_harness(H.InteractionKernel.cosine(), H.maxwellian(1.0), gammas, t_values, dt=0.02)
+        assert str(info.value) == message
         assert marches == []
 
     def test_step_count_needs_a_positive_step(self):
