@@ -299,10 +299,13 @@ def penrose_check(ik: InteractionKernel, prof: HomogeneousProfile,
 
 
 def _bisect(keep_lo, lo: float, hi: float, tol: float) -> float:
-    """Halve [lo, hi] until it is at most ``tol`` wide, moving lo to the
+    """Halve [lo, hi] until it is at most ``tol`` wide, or until its midpoint
+    rounds to one of its ends (no float lies between them), moving lo to the
     midpoint where ``keep_lo(mid)`` holds and hi otherwise; returns the midpoint of the last bracket."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if keep_lo(mid):
             lo = mid
         else:
@@ -327,6 +330,8 @@ def critical_parameter(family, lo: float, hi: float, tol: float = 1e-3) -> float
     """
     if not hi > lo:
         raise ValueError(f"degenerate bracket [{lo}, {hi}]")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
 
     def verdict(theta: float) -> bool:
         k, p = family(theta)

@@ -216,15 +216,13 @@ def profile_hat(prof: HomogeneousProfile, xi):
     for smooth decaying tables), by chirp-z along each uniform last-axis
     family of ``xi``.  Accepts scalars or arrays.
     """
-    scalar = np.isscalar(xi)
-    x = np.atleast_1d(np.asarray(xi, dtype=float))
+    x = np.asarray(xi, dtype=float)
     if prof.kind == "maxwellian":
-        out = prof.mass * np.exp(-prof.T * x * x / 2.0)
-    elif prof.kind == "two_stream":
-        out = prof.mass * np.exp(-prof.T * x * x / 2.0) * np.cos(prof.v0 * x)
-    else:
-        out = _tabulated_hat(prof, x)
-    return out[0] if scalar else out
+        return prof.mass * np.exp(-prof.T * x * x / 2.0)
+    if prof.kind == "two_stream":
+        return prof.mass * np.exp(-prof.T * x * x / 2.0) * np.cos(prof.v0 * x)
+    out = _tabulated_hat(prof, np.atleast_1d(x))
+    return out if x.ndim else out[0]
 
 
 def _tabulated_hat(prof: HomogeneousProfile, x: np.ndarray) -> np.ndarray:

@@ -153,22 +153,55 @@ def extract_field_modes(values: np.ndarray, t: float, kernel: InteractionKernel,
     return out
 
 
+_SUPPORT_TINY = 1e-16  # |x etahat(x)| relative to its peak below which a forcing entry is dropped
+
+
+def _window(grid: PhaseGrid, xi: list, centre: float, half: float) -> tuple:
+    """Columns lo..hi-1 of the nodes ``xi`` (``grid.xi`` as Python floats) with
+    |xi_j - centre| <= half, found as ``shift_plan`` finds its window: in
+    exact arithmetic, then moved to where the floats xi_j - centre cross -+half."""
+    n = grid.n_xi
+    lo = min(max(math.ceil((centre - half + grid.xi_max) / grid.dxi), 0), n)
+    hi = min(max(math.floor((centre + half + grid.xi_max) / grid.dxi) + 1, 0), n)
+    while lo > 0 and xi[lo - 1] - centre >= -half:
+        lo -= 1
+    while lo < n and xi[lo] - centre < -half:
+        lo += 1
+    while hi < n and xi[hi] - centre <= half:
+        hi += 1
+    while hi > 0 and xi[hi - 1] - centre > half:
+        hi -= 1
+    return lo, hi
+
+
 class _StageFactors:
     """
     The factors of the rhs that depend on the stage time alone, built once per
     stage time t at the exact float t, on the rows of ``MARGIN`` zero columns
     each side that run() marches:
 
-    - ``coupling``: eps (xi - n t), zero on the margins (eps > 0 only);
+    - ``coupling``: eps (xi - n t), one op over the margined rows from the
+      margined ``xi`` (zero margins, so ``out``'s zero margins stay zero;
+      eps > 0 only);
     - ``plans[k]``: the stencil of the row shift by k t (eps > 0 only),
       with ``work``, the scratch every shift reuses;
-    - ``background[n]``: the forcing row (-n p_n)(xi - n t) etahat(xi - n t)
-      of each active mode, one ``profile_hat`` call per positive mode.
+    - ``background[n]``: ``(columns, row)``, the forcing row
+      (-n p_n)(xi - n t) etahat(xi - n t) of each active mode on the
+      columns where |xi - n t| <= ``support``, one ``profile_hat`` call per
+      positive mode.
+
+    ``support`` is found once, from ``eta_hat``, the transform on the grid's
+    nodes (which the monitors reuse), by the rule ``product_trapezoid`` takes
+    for its kernel: the last node where |xi etahat(xi)| is above 1e-16 of its
+    peak, plus one cell.  Where that reaches xi_max the sample shows no decay
+    and every row is built whole (a tabulated table's tail sits at 1e-11 to
+    1e-9, so tables take this case).
 
     Only the latest stage time is held: k2 and k3 share t + dt/2, and k4,
     evaluated at the next step's time, serves that step's k1.  Row -n is
-    conj(row n) reversed: xi is bitwise antisymmetric, and
-    etahat(-x) = conj(etahat(x)) bitwise for a real profile.
+    conj(row n) reversed on the mirrored columns: xi is bitwise
+    antisymmetric, and etahat(-x) = conj(etahat(x)) bitwise for a real
+    profile.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -180,9 +213,17 @@ class _StageFactors:
         for k in self.active:
             lo, hi = max(-grid.n_max, k - grid.n_max), min(grid.n_max, k + grid.n_max)
             self.blocks[k] = (slice(grid.row(lo), grid.row(hi) + 1), slice(grid.row(lo - k), grid.row(hi - k) + 1))
+        self.forcing = [(n, -n * cfg.kernel.coefficient(n)) for n in cfg.kernel.active_modes()]
+        self.eta_hat = profile_hat(cfg.profile, grid.xi)
+        mag = np.abs(grid.xi * self.eta_hat)
+        above = np.nonzero(mag > _SUPPORT_TINY * mag.max())[0]
+        reach = (float(np.max(np.abs(grid.xi[above]))) if above.size else 0.0) + grid.dxi
+        self.support = math.inf if reach >= grid.xi_max else reach
+        self.nodes = grid.xi.tolist()
         self.coupling = self.work = None
         if cfg.epsilon != 0.0:
-            self.coupling = np.zeros((grid.shape[0], grid.n_xi + 2 * MARGIN))
+            self.xi = np.pad(grid.xi, MARGIN)
+            self.coupling = np.empty((grid.shape[0], self.xi.size))
             self.work = np.empty((2,) + self.coupling.shape, dtype=np.complex128)
         self.t = None
         self.plans = {}
@@ -192,15 +233,19 @@ class _StageFactors:
         if t == self.t:
             return self
         cfg, grid = self.cfg, self.cfg.grid
-        xi = grid.xi
         if self.coupling is not None:
-            core = self.coupling[:, MARGIN:-MARGIN]
-            np.multiply(cfg.epsilon, np.subtract(xi, grid.modes[:, None] * t, out=core), out=core)
+            np.multiply(cfg.epsilon, np.subtract(self.xi, grid.modes[:, None] * t, out=self.coupling),
+                        out=self.coupling)
             self.plans = {k: shift_plan(grid, k * t) for k in self.active}
-        for n in cfg.kernel.active_modes():
-            base = xi - n * t
-            row = (-n * cfg.kernel.coefficient(n)) * base * profile_hat(cfg.profile, base)
-            self.background[n], self.background[-n] = row, np.conj(row)[::-1]
+        n_xi = grid.n_xi
+        for n, scale in self.forcing:
+            shift = n * float(t)        # a Python float: the window's scalar arithmetic stays cheap
+            lo, hi = (0, n_xi) if self.support == math.inf else _window(grid, self.nodes, shift, self.support)
+            base = grid.xi[lo:hi] - shift
+            row = scale * base * profile_hat(cfg.profile, base)
+            self.background[n] = (slice(lo + MARGIN, hi + MARGIN), row)
+            # conj(row n) reversed: a view when the row is real
+            self.background[-n] = (slice(n_xi - hi + MARGIN, n_xi - lo + MARGIN), row[::-1].conj())
         self.t = t
         return self
 
@@ -225,7 +270,8 @@ def _rhs(values: np.ndarray, t: float, modes: dict, factors: _StageFactors, out:
             shift_add(out[rows], values[source], f.plans[k], -k * cfg.kernel.coefficient(k) * zk, f.work)
         out *= f.coupling
     for n, zn in modes.items():
-        out[cfg.grid.row(n), MARGIN:-MARGIN] += zn * f.background[n]
+        columns, row = f.background[n]
+        out[cfg.grid.row(n), columns] += zn * row
     return out
 
 
@@ -273,13 +319,14 @@ def _step_values(values: np.ndarray, t: float, t_next: float, modes: dict, facto
 
 
 class _Monitors:
-    """Per-step diagnostics shared by run(); precomputes static pieces."""
+    """Per-step diagnostics shared by run(); precomputes static pieces, with
+    ``eta_hat`` the background transform on the grid's nodes."""
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, eta_hat: np.ndarray):
         grid = cfg.grid
         self.cfg = cfg
         self.tw = grid.trapz_weights()
-        self.eta_hat_grid = np.asarray(profile_hat(cfg.profile, grid.xi), dtype=np.complex128)
+        self.eta_hat_grid = np.asarray(eta_hat, dtype=np.complex128)
         self.zero_col = (grid.n_xi - 1) // 2
         self.row0 = grid.row(0)
         eta = self.eta_hat_grid
@@ -346,8 +393,8 @@ def run(cfg: SimConfig) -> Trajectory:
     # core is the state on the grid
     state = _margined(synth_initial(cfg.perturbations, grid).values)
     core = state[:, MARGIN:-MARGIN]
-    monitors = _Monitors(band)
     factors = _StageFactors(band)
+    monitors = _Monitors(band, factors.eta_hat)
     n_steps = cfg.n_steps
     times = np.arange(n_steps + 1) * cfg.dt
 

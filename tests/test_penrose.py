@@ -145,6 +145,30 @@ class TestCriticalParameter:
         with pytest.raises(ValueError, match="bracket"):
             H.critical_parameter(family, 0.4, 0.4)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+    def test_nonpositive_tol_rejected(self, tol):
+        family = lambda T: (ANTI, H.maxwellian(T))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            H.critical_parameter(family, 0.1, 1.0, tol=tol)
+
+
+class TestBisect:
+    @pytest.mark.parametrize("root, hi, tol", [(0.3, 1.0, 0.0), (0.3, 1.0, 1e-17), (3.0e7, 2.0 ** 25, 1e-10)],
+                             ids=["tol0", "below_spacing", "root_above_1e6"])
+    def test_ends_where_the_midpoint_rounds_to_an_end(self, root, hi, tol):
+        # tol at or below the float spacing at the root: hi - lo stops
+        # shrinking, and the bisection ends on two adjacent floats instead
+        mids = []
+
+        def keep_lo(mid):
+            mids.append(mid)
+            assert len(mids) < 200
+            return mid < root
+
+        got = penrose._bisect(keep_lo, 0.0, hi, tol)
+        assert abs(got - root) <= np.spacing(root)
+        assert len(mids) <= 80
+
 
 def bisected_root(ik, prof, n=1, tol=1e-10):
     """growth_rate as a bisection over memory_kernel_transform, one transform

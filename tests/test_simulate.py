@@ -344,7 +344,8 @@ PROFILES = {"maxwellian": lambda: H.maxwellian(1.0), "two_stream": lambda: H.two
 def memo_free_rhs(cfg):
     """The rhs with one profile_hat call per row and stage time: assemble_rhs
     at a massless copy of the background gives the coupling term alone (its
-    forcing rows add zeros), and each forcing row is added as run() adds it."""
+    forcing rows add zeros), and each forcing row is built whole and added as
+    run() adds it, on the nodes with |xi - n t| within the forcing support."""
     prof = cfg.profile
     if prof.kind == "tabulated":
         massless = H.tabulated(prof.v_samples, 0.0 * prof.eta_samples)
@@ -352,12 +353,15 @@ def memo_free_rhs(cfg):
         massless = replace(prof, mass=0.0)
     coupling = replace(cfg, profile=massless)
     grid, kernel = cfg.grid, cfg.kernel
+    support = simulate._StageFactors(cfg).support
 
     def rhs(values, t):
         out = H.assemble_rhs(H.SpectralField(grid, values, real_valued=False), t, coupling).values.copy()
         for n, zn in H.extract_field_modes(values, t, kernel, grid).items():
             base = grid.xi - n * t
-            out[grid.row(n)] += zn * ((-n * kernel.coefficient(n)) * base * H.profile_hat(prof, base))
+            row = zn * ((-n * kernel.coefficient(n)) * base * H.profile_hat(prof, base))
+            kept = np.abs(base) <= support
+            out[grid.row(n), kept] += row[kept]
         return out
 
     return rhs
@@ -411,6 +415,74 @@ class TestBackgroundMemo:
         for t in (0.0, 0.05, 0.37, 1.0, 2.5):
             got = H.assemble_rhs(state, t, cfg).values
             assert np.array_equal(got, reference(state.values, t)), f"t={t}"
+
+
+# a two-stream whose cos(v0 xi) vanishes on the node xi = 8.8, next to where
+# the envelope falls below 1e-16 of the peak (support 8.8 on dxi = 0.1)
+SUPPORT_PROFILES = {"maxwellian": lambda: H.maxwellian(1.0),
+                    "two_stream_zero_near_edge": lambda: H.two_stream(1.0, 5.5 * math.pi / 8.8)}
+
+
+class TestForcingSupport:
+    @staticmethod
+    def config(profile):
+        grid = H.make_grid(2, 24.0, 481, 1)
+        return H.SimConfig(grid=grid, kernel=H.InteractionKernel((0.5, 0.25)), profile=profile,
+                           perturbations=H.Perturbation(mode=1), epsilon=0.05, dt=0.05, t_final=2.0,
+                           s=10, check_stability=False)
+
+    @staticmethod
+    def edge_times(factors):
+        """Stage times that put an edge n t -+ L of a row's support on a node,
+        one ulp either side of it, or mid-cell, with the support on the grid."""
+        grid, support = factors.cfg.grid, factors.support
+        for n in factors.cfg.kernel.active_modes():
+            for j in range(grid.n_xi // 2 + 95, grid.n_xi - 90, 17):
+                for frac in (0.0, 0.5, 0.25):
+                    t = (grid.xi[j] + frac * grid.dxi - support) / n
+                    yield from (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf))
+
+    @pytest.mark.parametrize("profile", sorted(SUPPORT_PROFILES))
+    def test_rows_on_their_support_match_the_whole_row(self, profile):
+        cfg = self.config(SUPPORT_PROFILES[profile]())
+        grid, kernel = cfg.grid, cfg.kernel
+        factors = simulate._StageFactors(cfg)
+        assert math.isfinite(factors.support) and factors.support < 9.0
+        for t in self.edge_times(factors):
+            factors.at(t)
+            for n in kernel.active_modes():
+                columns, row = factors.background[n]
+                base = grid.xi - n * t
+                whole = (-n * kernel.coefficient(n)) * base * H.profile_hat(cfg.profile, base)
+                kept = np.abs(base) <= factors.support
+                lo, hi = np.flatnonzero(kept)[[0, -1]]
+                assert columns == slice(lo + MARGIN, hi + 1 + MARGIN) and np.all(kept[lo:hi + 1]), f"n={n}, t={t!r}"
+                assert np.array_equal(row, whole[kept]), f"n={n}, t={t!r}"
+                # every dropped entry is below 1e-16 of the row's peak
+                assert np.max(np.abs(whole[~kept])) <= 1e-16 * np.max(np.abs(whole)), f"n={n}, t={t!r}"
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_mirror_rows_conjugate_reversed(self, profile):
+        cfg = self.config(PROFILES[profile]())
+        factors = simulate._StageFactors(cfg)
+        n_xi = cfg.grid.n_xi
+        for t in (0.0, 0.05, 0.37, 1.3, 4.05, 9.95):
+            factors.at(t)
+            for n in cfg.kernel.active_modes():
+                columns, row = factors.background[n]
+                mirror_columns, mirror = factors.background[-n]
+                assert mirror_columns == slice(n_xi + 2 * MARGIN - columns.stop, n_xi + 2 * MARGIN - columns.start)
+                assert np.array_equal(mirror, np.conj(row)[::-1])
+
+    def test_tabulated_profile_keeps_the_whole_row(self):
+        cfg = self.config(tabulated_maxwellian())
+        factors = simulate._StageFactors(cfg)
+        # the table's transform does not fall below 1e-16 of its peak on the grid
+        assert factors.support == math.inf
+        for t in (0.0, 0.37, 9.95):
+            factors.at(t)
+            for n, (columns, row) in factors.background.items():
+                assert columns == slice(MARGIN, cfg.grid.n_xi + MARGIN) and row.size == cfg.grid.n_xi
 
 
 def per_tap_rhs(cfg):
