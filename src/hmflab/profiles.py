@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sp_fft
 
 __all__ = [
     "HomogeneousProfile",
@@ -69,6 +68,9 @@ class HomogeneousProfile:
             dv = np.diff(v)
             if not np.all(dv > 0) or not np.allclose(dv, dv[0], rtol=1e-10, atol=1e-12):
                 raise ValueError("tabulated profile requires a uniform increasing v grid")
+            bad = np.flatnonzero(~np.isfinite(eta))
+            if bad.size:
+                raise ValueError(f"tabulated profile needs finite eta samples, eta_samples[{bad[0]}] is {eta[bad[0]]}")
             v = v.copy()
             eta = eta.copy()
             v.flags.writeable = False
@@ -145,6 +147,18 @@ def _is_uniform(taus) -> bool:
     return bool(np.max(np.abs(taus - ideal)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(taus)))
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n: a length pocketfft transforms fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def chirp_z(weights, a: float, step: float, offsets, taus):
     """
     sum_{p,g} weights[p, g] exp(-i tau x[p, g]) for every tau of ``taus``, a
@@ -176,14 +190,58 @@ def chirp_z(weights, a: float, step: float, offsets, taus):
     j = np.arange(n_tau) - jc
     p = np.arange(n_panels) - pc
     lags = np.arange(1 - n_panels, n_tau) - (jc - pc)      # every j - p
-    size = sp_fft.next_fast_len(n_panels + n_tau - 1)
+    size = _next_fast_len(n_panels + n_tau - 1)
     chirp = np.zeros(size, dtype=np.complex128)
     chirp[:n_tau] = np.exp(0.5j * alpha * lags[n_panels - 1:] ** 2)
     chirp[size - n_panels + 1:] = np.exp(0.5j * alpha * lags[:n_panels - 1] ** 2)
     x = fw.T * np.exp(-1j * (taus[jc] * step * p + 0.5 * alpha * p * p))
-    conv = sp_fft.ifft(sp_fft.fft(x, size, axis=-1) * sp_fft.fft(chirp), axis=-1)[:, :n_tau]
+    conv = np.fft.ifft(np.fft.fft(x, size, axis=-1) * np.fft.fft(chirp), axis=-1)[:, :n_tau]
     outer = np.exp(-1j * np.multiply.outer(taus, a + (pc + 0.5) * step + np.atleast_1d(offsets)))
     return np.add.reduce(outer * (conv * np.exp(-0.5j * alpha * j * j)).T, axis=1)
+
+
+def _spline(v: np.ndarray, y: np.ndarray):
+    """
+    The not-a-knot cubic spline through (v, y), n >= 4 knots, as a function
+    of points in [v[0], v[-1]].  The knot slopes s solve the tridiagonal
+    system of ``scipy.interpolate.CubicSpline`` (rows i = 1..n-2 match
+    second derivatives at the knots, the end rows make the third derivative
+    continuous at v[1] and v[-2]), eliminated without row swaps, as partial
+    pivoting eliminates it: no pivot is smaller than the entry below it.
+    Each interval's cubic is summed in powers of the offset h from its left
+    knot, lowest first, as scipy's ``PPoly`` sums it.
+    """
+    dx = np.diff(v)
+    slope = np.diff(y) / dx
+    n = v.size
+    lower, diag, upper, rhs = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = v[2] - v[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = v[-1] - v[-3]
+    lower[-1], diag[-1] = d, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    lo, di, up, s = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(1, n):
+        m = lo[i] / di[i - 1]
+        di[i] -= m * up[i - 1]
+        s[i] -= m * s[i - 1]
+    s[-1] /= di[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - up[i] * s[i + 1]) / di[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    cubic, quadratic = t / dx, (slope - s[:-1]) / dx - t
+
+    def values(x):
+        i = np.clip(np.searchsorted(v, x, side="right") - 1, 0, n - 2)
+        h = x - v[i]
+        h2 = h * h
+        return y[i] + s[i] * h + quadratic[i] * h2 + cubic[i] * (h2 * h)
+
+    return values
 
 
 def _tabulated_rule(prof: HomogeneousProfile, xi_abs_max: float):
@@ -200,10 +258,8 @@ def _tabulated_rule(prof: HomogeneousProfile, xi_abs_max: float):
     per = max(1, int(np.ceil(xi_abs_max * (v[1] - v[0]) / 4.0)))
     rules = prof.__dict__.setdefault("_quad_rules", {})
     if per not in rules:
-        from scipy.interpolate import CubicSpline    # tabulated profiles only: ~0.3 s to import
-
         nodes, weights = gauss_panels(v[0], v[-1], per * (v.size - 1), _GL8)
-        rules[per] = (nodes, weights * CubicSpline(v, prof.eta_samples)(nodes))
+        rules[per] = (nodes, weights * _spline(v, prof.eta_samples)(nodes))
     return rules[per]
 
 
@@ -270,10 +326,8 @@ def profile_values(prof: HomogeneousProfile, v):
         g = lambda u: np.exp(-u * u / (2.0 * prof.T)) / np.sqrt(2.0 * np.pi * prof.T)
         out = prof.mass * 0.5 * (g(x - prof.v0) + g(x + prof.v0))
     else:
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(prof.v_samples, prof.eta_samples)
-        out = np.where((x >= prof.v_samples[0]) & (x <= prof.v_samples[-1]), spline(x), 0.0)
+        knots = prof.v_samples
+        out = np.where((x >= knots[0]) & (x <= knots[-1]), _spline(knots, prof.eta_samples)(x), 0.0)
     return out[0] if scalar else out
 
 

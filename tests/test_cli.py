@@ -207,6 +207,19 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1, proc.stderr
         assert re.search(rf"\b{key}\b", proc.stderr), proc.stderr
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_table_sample_exits_2(self, tmp_path, monkeypatch, capsys, bad):
+        monkeypatch.chdir(tmp_path)
+        write_table(tmp_path)
+        lines = (tmp_path / "eta.csv").read_text().splitlines()
+        lines[101] = lines[101].split(",")[0] + "," + bad
+        (tmp_path / "eta.csv").write_text("\n".join(lines) + "\n")
+        doc = dict(TINY, profile={"kind": "tabulated", "path": "eta.csv"})
+        assert main(["penrose-check", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"config error: tabulated profile needs finite eta samples, "
+                                           f"eta_samples[100] is {bad}\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSubcommands:
     def test_run_sim_artifacts(self, tmp_path):

@@ -136,15 +136,57 @@ def test_checker_sees_matrix_products(tmp_path):
                                       (7, "numpy.matmul"), (8, "np.inner"), (8, "np.vdot")]
 
 
-def test_import_leaves_scipy_signal_out():
-    # scipy.signal adds ~0.9 s to every process that imports hmflab,
-    # scipy.interpolate ~0.3 s that only tabulated profiles need,
-    # scipy.ndimage ~83 ms beyond scipy.fft, and scipy.linalg ~55 ms; no
-    # stencil shortcut through scipy.ndimage or scipy.sparse may add to that
+def scipy_imports(path: Path) -> list:
+    """(line, module) of every import of scipy or one of its submodules in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "scipy":
+            found.append((node.lineno, node.module))
+    return found
+
+
+def test_no_scipy_imports():
+    # numpy alone runs the package: scipy.fft added 26 MB and 0.25 s to every
+    # import of hmflab, and with scipy.interpolate a run that transforms a
+    # table peaked 43 MB higher
+    offenders = {p.name: scipy_imports(p) for p in sorted(SRC.glob("*.py"))}
+    offenders = {name: hits for name, hits in offenders.items() if hits}
+    assert not offenders, f"scipy imports in src/hmflab: {offenders}"
+
+
+def test_checker_sees_scipy_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np, scipy\nimport scipy.fft as sp_fft\nfrom scipy.interpolate import CubicSpline\n"
+                     "from scipy import special\nfrom .scipy_like import x\nimport scipyx\n"
+                     "def f():\n    from scipy.linalg import solve\n")
+    assert scipy_imports(probe) == [(1, "scipy"), (2, "scipy.fft"), (3, "scipy.interpolate"), (4, "scipy"),
+                                    (8, "scipy.linalg")]
+
+
+RUN_PATHS = """
+import sys
+import numpy as np
+import hmflab as H
+import hmflab.cli
+v = np.linspace(-12.0, 12.0, 241)
+prof = H.tabulated(v, H.profile_values(H.maxwellian(1.0), v))
+kernel = H.InteractionKernel((0.5,))
+assert H.penrose_check(kernel, prof).stable
+cfg = H.SimConfig(grid=H.make_grid(1, 4.0, 81, 1), kernel=kernel, profile=prof,
+                  perturbations=(H.Perturbation(1),), epsilon=0.02, dt=0.05, t_final=0.5)
+traj = H.run(cfg)
+H.weak_limit_profile(traj.snapshots[-1], prof, 0.02)
+print(cfg.n_steps, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_run_paths_import_no_scipy():
+    # a tabulated background reaches every numerical path that once took scipy:
+    # the chirp-z scan, the spline rule, the inverse transform and the stage rows
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
-    left_out = ("scipy.signal", "scipy.interpolate", "scipy.linalg", "scipy.ndimage", "scipy.sparse")
-    probe = f"import sys, hmflab; print([m for m in {left_out!r} if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", RUN_PATHS], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "10 []"

@@ -212,6 +212,69 @@ class TestChirpZ:
                 profiles.chirp_z(w, 0.0, 0.1, np.array([-0.05, 0.05]), taus)
 
 
+def scipy_chirp_z(weights, a, step, offsets, taus):
+    """chirp_z's body as it was on ``scipy.fft``, the reference for the numpy.fft path."""
+    from scipy import fft as sp_fft
+
+    fw = np.reshape(weights, (len(weights), -1))
+    n_panels, n_tau = fw.shape[0], taus.size
+    alpha = step * (taus[-1] - taus[0]) / (n_tau - 1)
+    jc, pc = (n_tau - 1) // 2, (n_panels - 1) // 2
+    j = np.arange(n_tau) - jc
+    p = np.arange(n_panels) - pc
+    lags = np.arange(1 - n_panels, n_tau) - (jc - pc)
+    size = sp_fft.next_fast_len(n_panels + n_tau - 1)
+    chirp = np.zeros(size, dtype=np.complex128)
+    chirp[:n_tau] = np.exp(0.5j * alpha * lags[n_panels - 1:] ** 2)
+    chirp[size - n_panels + 1:] = np.exp(0.5j * alpha * lags[:n_panels - 1] ** 2)
+    x = fw.T * np.exp(-1j * (taus[jc] * step * p + 0.5 * alpha * p * p))
+    conv = sp_fft.ifft(sp_fft.fft(x, size, axis=-1) * sp_fft.fft(chirp), axis=-1)[:, :n_tau]
+    outer = np.exp(-1j * np.multiply.outer(taus, a + (pc + 0.5) * step + np.atleast_1d(offsets)))
+    return np.add.reduce(outer * (conv * np.exp(-0.5j * alpha * j * j)).T, axis=1)
+
+
+class TestAgainstScipy:
+    """The numpy paths against the scipy calls they replace.  The bitwise
+    checks pin the installed numpy and scipy: both wrap pocketfft, and
+    ``_spline`` takes ``CubicSpline``'s arithmetic step for step."""
+
+    def test_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        assert all(profiles._next_fast_len(n) == next_fast_len(n, real=False) for n in range(1, 20001))
+
+    @pytest.mark.parametrize("n_tau", [601, 2001])
+    @pytest.mark.parametrize("n_panels", [44, 45, 97, 128, 211, 300])
+    def test_chirp_z_bitwise_scipy_fft_on_scan_shapes(self, n_panels, n_tau):
+        # a Penrose scan: weights per (panel, 16 Gauss offsets), taus symmetric about 0
+        rng = np.random.default_rng(n_panels * n_tau)
+        fw = rng.normal(size=(n_panels, 16)) + 1j * rng.normal(size=(n_panels, 16))
+        hp = 60.0 / n_panels
+        offsets = (0.5 * hp) * np.polynomial.legendre.leggauss(16)[0]
+        taus = np.linspace(-8.0 / hp, 8.0 / hp, n_tau)
+        assert np.array_equal(profiles.chirp_z(fw, 0.0, hp, offsets, taus),
+                              scipy_chirp_z(fw, 0.0, hp, offsets, taus))
+
+    @pytest.mark.parametrize("n_xi, xi_max", [(361, 18.0), (881, 44.0)])
+    def test_chirp_z_bitwise_scipy_fft_on_one_node_per_panel(self, n_xi, xi_max):
+        # weak_limit_profile's inverse transform: 1-D weights, a scalar offset
+        grid = H.make_grid(2, xi_max, n_xi, 1)
+        weights = grid.trapz_weights() * (1 + 0.3j) * np.exp(-grid.xi ** 2 / 8)
+        args = (weights, grid.xi[0] - 0.5 * grid.dxi, grid.dxi, 0.0, -np.linspace(-12.0, 12.0, 961))
+        assert np.array_equal(profiles.chirp_z(*args), scipy_chirp_z(*args))
+
+    @pytest.mark.parametrize("n", [4, 5, 161, 961, 1921])
+    def test_spline_matches_cubic_spline(self, n):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(n)
+        v = np.linspace(-12.0, 12.0, n)
+        x = np.concatenate([v, rng.uniform(v[0], v[-1], 4000), [np.nextafter(v[0], 0.0), np.nextafter(v[-1], 0.0)]])
+        for y in (np.exp(-v * v / 2) / np.sqrt(2 * np.pi), rng.normal(size=n)):
+            got = profiles._spline(v, y)(x)
+            assert np.max(np.abs(got - CubicSpline(v, y)(x))) <= 1e-15 * np.max(np.abs(y))
+
+
 def per_line_profile_csv(prof, path):
     """save_profile_csv's writer before it took grids.write_series_csv."""
     with open(path, "w") as fh:
@@ -249,6 +312,14 @@ class TestProfileCsv:
         v = np.array([0.0, 1.0, 2.5, 3.0])
         with pytest.raises(ValueError, match="uniform"):
             H.tabulated(v, np.ones_like(v))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected_with_first_index(self, bad):
+        v = np.linspace(-4.0, 4.0, 9)
+        eta = np.exp(-v * v / 2)
+        eta[[5, 7]] = bad
+        with pytest.raises(ValueError, match=rf"eta_samples\[5\] is {bad}"):
+            H.tabulated(v, eta)
 
 
 class TestSynthInitial:
