@@ -43,6 +43,7 @@ __all__ = [
     "SpectralField",
     "make_grid",
     "cubic_interp",
+    "column_offset",
     "MARGIN",
     "shift_plan",
     "shift_add",
@@ -167,16 +168,34 @@ def _lagrange_weights(th):
             th * (th + 1.0) * (th - 1.0) / 6.0)
 
 
-def _read(row: np.ndarray, grid: PhaseGrid, x: float) -> complex:
-    """The four-tap read of ``row`` at one target, in Python scalars: the
-    set-up of an array expression would cost more than the read itself."""
+def column_offset(grid: PhaseGrid, width: int) -> int:
+    """
+    The grid column of the first of ``width`` columns centred on xi = 0: 0
+    for whole rows, and (n_xi - width) / 2 for the centred window of columns
+    a linear run marches.  A ValueError unless such a window has that width.
+    """
+    offset, odd = divmod(grid.n_xi - width, 2)
+    if offset < 0 or odd:
+        raise ValueError(f"a row of {width} columns is not a centred window of the grid's {grid.n_xi}")
+    return offset
+
+
+def _read(row: np.ndarray, grid: PhaseGrid, x: float, offset: int) -> complex:
+    """The four-tap read of the complex ``row``, the columns from ``offset``
+    on, at one target, in Python scalars: the set-up of an array expression
+    would cost more than the read itself.  The position is the whole grid's,
+    and the integer offset is subtracted from its floor, which is exact."""
     if abs(x) > grid.xi_max:
         return 0j
-    n = grid.n_xi
+    n = len(row)
     pos = (x + grid.xi_max) / grid.dxi
     i0 = math.floor(pos)
     wm1, w0, w1, w2 = _lagrange_weights(pos - i0)
-    taps = [complex(row[i]) if 0 <= i < n else 0j for i in range(i0 - 1, i0 + 3)]
+    first = i0 - 1 - offset
+    if 0 <= first <= n - 4:
+        taps = row[first:first + 4].tolist()     # one call for the four Python complexes
+    else:
+        taps = [complex(row[i]) if 0 <= i < n else 0j for i in range(first, first + 4)]
     return wm1 * taps[0] + w0 * taps[1] + w1 * taps[2] + w2 * taps[3]
 
 
@@ -188,11 +207,17 @@ def cubic_interp(row: np.ndarray, grid: PhaseGrid, targets):
     semantics; targets with |xi| > xi_max return exactly 0.  On-node targets
     reproduce the stored value.  A scalar target gives a complex, an array of
     targets an array of their shape (at least 1-D), read one target at a time.
+
+    A row narrower than the grid holds its centred window of columns (see
+    :func:`column_offset`), and reads as the whole row does wherever the four
+    taps fall inside the window; taps outside it read zeros.
     """
+    row = np.asarray(row, dtype=np.complex128)
+    offset = column_offset(grid, len(row))
     if np.isscalar(targets):
-        return _read(row, grid, float(targets))
+        return _read(row, grid, float(targets), offset)
     t = np.atleast_1d(np.asarray(targets, dtype=float))
-    return np.fromiter((_read(row, grid, x) for x in t.flat), np.complex128, t.size).reshape(t.shape)
+    return np.fromiter((_read(row, grid, x, offset) for x in t.flat), np.complex128, t.size).reshape(t.shape)
 
 
 def shift_plan(grid: PhaseGrid, shift: float) -> tuple:

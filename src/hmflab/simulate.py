@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import (MARGIN, InvariantViolation, PhaseGrid, SpectralField, cubic_interp, make_grid, norm_ladder,
-                    shift_add, shift_plan, symmetrized_values)
+from .grids import (MARGIN, InvariantViolation, PhaseGrid, SpectralField, column_offset, cubic_interp, make_grid,
+                    norm_ladder, shift_add, shift_plan, symmetrized_values)
 from .penrose import InteractionKernel, PenroseReport, penrose_check
 from .profiles import HomogeneousProfile, Perturbation, profile_hat, synth_initial
 from .volterra import ModeSeries, step_count
@@ -137,18 +137,22 @@ def extract_field_modes(values: np.ndarray, t: float, kernel: InteractionKernel,
     """
     Self-consistent field modes z_k(t) = ghat_k(t, k*t) of the state ``values``
     on ``grid``, for every active interaction mode k, by cubic interpolation in xi.
+    ``values`` holds whole rows, or the centred window of columns a linear
+    run marches (see ``grids.column_offset``).
 
-    The read positions must stay at least two cells inside the window
-    (|k t| <= xi_max - 2*dxi); violating that is a configuration bug and
-    fails hard rather than silently truncating.
+    The read positions must stay at least two cells inside the columns held
+    (|k t| <= xi_max - 2*dxi on whole rows); violating that is a configuration
+    bug and fails hard rather than silently truncating.
     """
+    t = float(t)      # np.float64 scalar arithmetic would cost more than the read
+    edge = grid.xi_max - (column_offset(grid, values.shape[-1]) + 2) * grid.dxi
     out = {}
     for k in _active_modes(kernel):
         target = k * t
-        if abs(target) > grid.xi_max - 2.0 * grid.dxi:
+        if abs(target) > edge:
             raise RuntimeError(
                 f"field-mode read xi = {target:.6g} for mode {k} leaves the safe window "
-                f"|xi| <= xi_max - 2*dxi = {grid.xi_max - 2 * grid.dxi:.6g}; enlarge xi_max")
+                f"|xi| <= {edge:.6g}, two cells inside the columns held; enlarge xi_max")
         out[k] = cubic_interp(values[grid.row(k)], grid, target)
     return out
 
@@ -197,6 +201,15 @@ class _StageFactors:
     and every row is built whole (a tabulated table's tail sits at 1e-11 to
     1e-9, so tables take this case).
 
+    ``columns`` are the grid columns of the arrays the factors serve, a
+    window centred on xi = 0 (see "Linear runs: the reachable band" in
+    docs/conventions.md).  At eps = 0 the rhs is exactly zero outside the
+    forcing rows' supports, so a run whose stage times end at ``horizon``
+    reaches only |xi| <= M horizon + support, M the largest active mode, plus
+    the two columns of the field-mode reads' stencil; the window is every
+    column when eps > 0, when the support or the horizon is unbounded (as
+    for ``assemble_rhs``) or when that reach covers the grid.
+
     Only the latest stage time is held: k2 and k3 share t + dt/2, and k4,
     evaluated at the next step's time, serves that step's k1.  Row -n is
     conj(row n) reversed on the mirrored columns: xi is bitwise
@@ -204,7 +217,7 @@ class _StageFactors:
     profile.
     """
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, horizon: float = math.inf):
         grid = cfg.grid
         self.cfg = cfg
         self.active = _active_modes(cfg.kernel)
@@ -220,6 +233,11 @@ class _StageFactors:
         reach = (float(np.max(np.abs(grid.xi[above]))) if above.size else 0.0) + grid.dxi
         self.support = math.inf if reach >= grid.xi_max else reach
         self.nodes = grid.xi.tolist()
+        extent = max(cfg.kernel.active_modes(), default=1) * horizon + self.support
+        lo = 0
+        if cfg.epsilon == 0.0 and extent < grid.xi_max:
+            lo = max(_window(grid, self.nodes, 0.0, extent)[0] - 2, 0)
+        self.columns = slice(lo, grid.n_xi - lo)
         self.coupling = self.work = None
         if cfg.epsilon != 0.0:
             self.xi = np.pad(grid.xi, MARGIN)
@@ -238,14 +256,15 @@ class _StageFactors:
                         out=self.coupling)
             self.plans = {k: shift_plan(grid, k * t) for k in self.active}
         n_xi = grid.n_xi
+        first = MARGIN - self.columns.start      # array column of grid column 0
         for n, scale in self.forcing:
             shift = n * float(t)        # a Python float: the window's scalar arithmetic stays cheap
             lo, hi = (0, n_xi) if self.support == math.inf else _window(grid, self.nodes, shift, self.support)
             base = grid.xi[lo:hi] - shift
             row = scale * base * profile_hat(cfg.profile, base)
-            self.background[n] = (slice(lo + MARGIN, hi + MARGIN), row)
+            self.background[n] = (slice(lo + first, hi + first), row)
             # conj(row n) reversed: a view when the row is real
-            self.background[-n] = (slice(n_xi - hi + MARGIN, n_xi - lo + MARGIN), row[::-1].conj())
+            self.background[-n] = (slice(n_xi - hi + first, n_xi - lo + first), row[::-1].conj())
         self.t = t
         return self
 
@@ -327,7 +346,6 @@ class _Monitors:
         self.cfg = cfg
         self.tw = grid.trapz_weights()
         self.eta_hat_grid = np.asarray(eta_hat, dtype=np.complex128)
-        self.zero_col = (grid.n_xi - 1) // 2
         self.row0 = grid.row(0)
         eta = self.eta_hat_grid
         self.background_l2 = float(np.sqrt(np.add.reduce((eta.real ** 2 + eta.imag ** 2) * self.tw)))
@@ -349,7 +367,9 @@ class _Monitors:
         return float(np.sqrt(total))
 
     def sample(self, values: np.ndarray) -> tuple:
-        return complex(values[self.row0, self.zero_col]), self.full_l2(values)
+        """The mass ghat_0(t, 0), in the centre column of the whole rows or of a
+        linear run's centred window, and the L2 norm (whole rows when eps > 0)."""
+        return complex(values[self.row0, values.shape[1] // 2]), self.full_l2(values)
 
 
 def run(cfg: SimConfig) -> Trajectory:
@@ -365,9 +385,10 @@ def run(cfg: SimConfig) -> Trajectory:
     warns: runs beyond the stability region are how the instability is
     exhibited.
 
-    A linear run (eps = 0) marches only the rows it can reach (see "Linear
-    runs: the reachable band" in docs/conventions.md); its snapshots are on
-    the configured grid, with every other row exactly zero.
+    A linear run (eps = 0) marches only the rows and columns it can reach
+    (see "Linear runs: the reachable band" in docs/conventions.md); its
+    snapshots are on the configured grid, with every other row exactly zero
+    and every other column of the band's rows at its initial value.
     """
     cfg.validate()
     stability = None
@@ -387,16 +408,22 @@ def run(cfg: SimConfig) -> Trajectory:
     grid = make_grid(r, configured.xi_max, configured.n_xi, configured.m0)
     band = replace(cfg, grid=grid)
     band_rows = slice(configured.row(-r), configured.row(r) + 1)
-    full = np.zeros(configured.shape, dtype=np.complex128)
-
-    # the state and the step's scratch are margined rows (see grids.shift_add);
-    # core is the state on the grid
-    state = _margined(synth_initial(cfg.perturbations, grid).values)
-    core = state[:, MARGIN:-MARGIN]
-    factors = _StageFactors(band)
-    monitors = _Monitors(band, factors.eta_hat)
     n_steps = cfg.n_steps
     times = np.arange(n_steps + 1) * cfg.dt
+    factors = _StageFactors(band, float(times[-1]))
+    columns = factors.columns
+
+    # outside the marched columns the rhs is exactly +0.0 at every stage, and
+    # the initial data is a fixed point of adding +0.0 and re-symmetrising:
+    # those columns keep their initial values, which the snapshots are laid on
+    full = np.zeros(configured.shape, dtype=np.complex128)
+    full[band_rows] = synth_initial(cfg.perturbations, grid).values
+    band_full = full[band_rows]
+    # the state and the step's scratch are margined rows (see grids.shift_add)
+    # of the marched columns; core is the state on them
+    state = _margined(band_full[:, columns])
+    core = state[:, MARGIN:-MARGIN]
+    monitors = _Monitors(band, factors.eta_hat)
 
     active = _active_modes(cfg.kernel)
     zeta = {k: np.empty(n_steps + 1, dtype=np.complex128) for k in active}
@@ -415,8 +442,8 @@ def run(cfg: SimConfig) -> Trajectory:
         mass[i], l2[i] = monitors.sample(core)
         defects[i] = defect
         if i in snapshot_due:
-            full[band_rows] = core
-            ladder[len(snapshots)] = norm_ladder(SpectralField(grid, core), cfg.s)
+            band_full[:, columns] = core
+            ladder[len(snapshots)] = norm_ladder(SpectralField(grid, band_full), cfg.s)
             snapshots.append(SpectralField(configured, full, real_valued=True))
             snapshot_times.append(t)
         return zk      # the next step's k1 takes the modes of this state

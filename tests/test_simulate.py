@@ -56,6 +56,15 @@ class TestExtractFieldModes:
         with pytest.raises(RuntimeError, match="safe window"):
             H.extract_field_modes(f.values, 7.95, COS, grid)
 
+    def test_window_reads_match_whole_rows_and_fail_past_its_columns(self):
+        grid = H.make_grid(1, 8.0, 65, 1)
+        values = H.synth_initial([H.Perturbation(mode=1)], grid).values
+        window = values[:, 10:55].copy()        # nodes -5.5..5.5, two cells inside: |xi| <= 5
+        for t in (0.0, 0.3, 4.9, 5.0):
+            assert H.extract_field_modes(window, t, COS, grid) == H.extract_field_modes(values, t, COS, grid)
+        with pytest.raises(RuntimeError, match="safe window"):
+            H.extract_field_modes(window, 5.01, COS, grid)
+
 
 class TestAssembleRhs:
     def test_free_transport_exactly_filtered(self):
@@ -244,6 +253,15 @@ def buffer_case(case):
         return small_config(n_max=4, t_final=3.0, dt=0.05, record_every=1), 1
     if case == "linear_full":
         return small_config(n_max=1, t_final=3.0, dt=0.05, record_every=1), 1
+    if case in ("linear_narrow_gaussian", "linear_narrow_algebraic"):
+        # the column window holds 203 of 481 columns; the algebraic tail puts
+        # nonzero data on the columns left out
+        grid = H.make_grid(4, 24.0, 481, 1)
+        envelope = case.rsplit("_", 1)[1]
+        return H.SimConfig(grid=grid, kernel=COS, profile=H.maxwellian(1.0),
+                           perturbations=H.Perturbation(mode=1, amplitude=1.0, envelope=envelope),
+                           epsilon=0.0, dt=0.05, t_final=1.0, record_every=1, s=7,
+                           check_stability=False), 1
     m2 = H.InteractionKernel((0.5, 0.25))
     if case == "linear_mode3":
         grid = H.make_grid(4, 16.0, 321, 1)
@@ -268,7 +286,8 @@ def buffer_case(case):
 
 class TestRunBuffers:
     @pytest.mark.parametrize("case", ["cosine", "two_mode", "linear_cosine", "linear_mode3",
-                                      "linear_two_mode_m0_2", "linear_full"])
+                                      "linear_two_mode_m0_2", "linear_full", "linear_narrow_gaussian",
+                                      "linear_narrow_algebraic"])
     def test_bitwise_equal_to_plain_loop(self, case):
         cfg, r = buffer_case(case)
         traj = H.run(cfg)
@@ -299,6 +318,96 @@ class TestRunBuffers:
         background = np.sqrt(np.sum(np.abs(H.profile_hat(cfg.profile, cfg.grid.xi)) ** 2 * tw))
         assert np.all(traj.l2_series == traj.l2_series[0])
         assert traj.l2_series[0] == pytest.approx(background, rel=1e-14)
+
+
+def marched_width(cfg):
+    """Columns of the window run() marches on ``cfg``: those its factors serve
+    through the last stage time (the window does not depend on n_max)."""
+    columns = simulate._StageFactors(cfg, cfg.n_steps * cfg.dt).columns
+    assert columns.start + columns.stop == cfg.grid.n_xi      # centred on xi = 0
+    return columns.stop - columns.start
+
+
+class TestColumnWindow:
+    """The columns a linear run marches: see "Linear runs: the reachable band" in docs/conventions.md."""
+
+    def test_benchmark_crosscheck_shape(self):
+        grid = H.make_grid(4, 40.96, 2049, 1)
+        cfg = H.SimConfig(grid=grid, kernel=COS, profile=H.maxwellian(1.0), perturbations=H.Perturbation(mode=1),
+                          epsilon=0.0, dt=5e-3, t_final=1.0, record_every=100, s=7)
+        assert marched_width(cfg) == 501
+
+    def test_stencil_columns_hold_the_reads_of_a_one_cell_support(self):
+        # no background: the forcing support is one cell, and the window's two
+        # stencil columns alone keep the field-mode reads inside it
+        cfg, _ = buffer_case("linear_narrow_algebraic")
+        cfg = replace(cfg, profile=replace(cfg.profile, mass=0.0))
+        assert marched_width(cfg) == 27
+        traj = H.run(cfg)
+        states, drifts, _ = reference_run(cfg)
+        for i, (snap, ref) in enumerate(zip(traj.snapshots, states, strict=True)):
+            assert np.array_equal(snap.values, ref), f"step {i}"
+            for k, zk in H.extract_field_modes(ref, traj.times[i], COS, cfg.grid).items():
+                assert traj.field_modes.mode(k)[i] == zk, f"step {i}, mode {k}"
+        assert np.array_equal(traj.reality_series, drifts)
+
+    @pytest.mark.parametrize("case", ["nonlinear", "tabulated", "map_unstable"])
+    def test_whole_row(self, case):
+        cfg, _ = buffer_case("linear_narrow_gaussian")
+        if case == "nonlinear":
+            cfg = replace(cfg, epsilon=0.05)
+        elif case == "tabulated":
+            cfg = replace(cfg, profile=tabulated_maxwellian())
+        else:
+            # the stability map's unstable run reaches 30 + 14.8 = 44.8, past xi_max = 32
+            cfg = H.SimConfig(grid=H.make_grid(1, 32.0, 641, 1), kernel=H.InteractionKernel.anticosine(),
+                              profile=H.maxwellian(0.365), perturbations=H.Perturbation(mode=1, amplitude=1e-6),
+                              epsilon=0.0, dt=0.1, t_final=30.0, record_every=50, s=7)
+        assert marched_width(cfg) == cfg.grid.n_xi
+
+    def test_assemble_rhs_serves_whole_rows(self):
+        cfg, _ = buffer_case("linear_narrow_gaussian")
+        assert simulate._StageFactors(cfg).columns == slice(0, cfg.grid.n_xi)
+
+    @pytest.mark.parametrize("epsilon, width", [(0.0, 203), (0.05, 481)])
+    def test_run_marches_the_window(self, epsilon, width, monkeypatch):
+        shapes = []
+        step = simulate._step_values
+
+        def recorded(values, *args):
+            shapes.append(values.shape)
+            return step(values, *args)
+
+        monkeypatch.setattr(simulate, "_step_values", recorded)
+        cfg, _ = buffer_case("linear_narrow_algebraic")
+        cfg = replace(cfg, epsilon=epsilon)
+        H.run(cfg)
+        rows = 3 if epsilon == 0.0 else cfg.grid.shape[0]
+        assert shapes == [(rows, width + 2 * MARGIN)] * cfg.n_steps
+        # the linear narrow cases of test_bitwise_equal_to_plain_loop leave out most columns
+        assert marched_width(cfg) == width and (epsilon > 0.0 or 2 * width < cfg.grid.n_xi)
+
+    def test_rhs_is_positive_zero_outside_the_window(self):
+        cfg, _ = buffer_case("linear_narrow_algebraic")
+        grid = cfg.grid
+        outside = np.ones(grid.n_xi, dtype=bool)
+        outside[simulate._StageFactors(cfg, cfg.t_final).columns] = False
+        rng = np.random.default_rng(11)
+        state = H.SpectralField(grid, symmetrized_values(rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)))
+        for t in (0.0, 0.025, 0.5, 0.975, 1.0):
+            rhs = H.assemble_rhs(state, t, cfg).values[:, outside]
+            assert rhs.tobytes() == np.zeros_like(rhs).tobytes(), f"t={t}"
+
+    def test_initial_data_is_a_fixed_point_of_a_zero_step(self):
+        # where the rhs is +0.0 a step adds +0.0 and re-symmetrises; synth_initial's
+        # data comes back bitwise, signed zeros included, so run() may leave it unmarched
+        grid = H.make_grid(3, 24.0, 481, 1)
+        perts = (H.Perturbation(mode=1), H.Perturbation(mode=3, amplitude=0.5, envelope="algebraic"),
+                 H.Perturbation(mode=0, amplitude=0.25, envelope="algebraic"), H.Perturbation(mode=-2, amplitude=0.0),
+                 H.Perturbation(mode=2, amplitude=-0.0, envelope="algebraic"), H.Perturbation(mode=1, amplitude=3.0))
+        values = H.synth_initial(perts, grid).values
+        stepped = symmetrized_values(values + (0.5 * 0.05) * np.zeros_like(values))
+        assert stepped.tobytes() == values.tobytes()
 
 
 class TestRecordSchedule:

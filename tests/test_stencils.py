@@ -308,6 +308,29 @@ class TestCubicInterp:
             for j in (0, 1, grid.n_xi // 3, grid.n_xi - 2, grid.n_xi - 1):
                 assert H.cubic_interp(row, grid, float(targets[j])) == ref[j], f"shift {shift!r}, node {j}"
 
+    @pytest.mark.parametrize("target_type", [float, np.float64])
+    def test_window_row_reads_bitwise_as_the_whole_row(self, target_type):
+        # a linear run's rows hold the centred window of columns offset..n_xi-1-offset
+        grid = SHIFT_GRIDS[1]
+        row = noise_field(np.random.default_rng(9), grid).values[0]
+        offset = 40
+        window = row[offset:grid.n_xi - offset].copy()
+        first, last = offset + 1, grid.n_xi - 3 - offset      # the cells whose four taps are in the window
+        targets = [grid.xi[j] for j in (first + 1, grid.n_xi // 2, last - 1)]                   # on node
+        targets += [grid.xi[j] + f * grid.dxi for j in (first, last) for f in (0.25, 0.5, 0.75)]  # edge cells
+        targets += list(np.random.default_rng(10).uniform(grid.xi[first + 1], grid.xi[last - 1], 20))  # off node
+        bits = lambda z: np.complex128(z).tobytes()
+        for x in targets:
+            ref = slow_cubic_interp(row, grid, float(x))
+            assert bits(H.cubic_interp(window, grid, target_type(x))) == bits(ref), repr(x)
+        got = H.cubic_interp(window, grid, np.array(targets))
+        assert got.tobytes() == slow_cubic_interp(row, grid, np.array(targets)).tobytes()
+
+    @pytest.mark.parametrize("width", [SHIFT_GRIDS[0].n_xi + 2, SHIFT_GRIDS[0].n_xi - 1])
+    def test_row_that_is_no_centred_window_is_refused(self, width):
+        with pytest.raises(ValueError, match="centred window"):
+            H.cubic_interp(np.zeros(width, dtype=complex), SHIFT_GRIDS[0], 0.3)
+
     def test_array_targets_keep_their_shape(self):
         grid = SHIFT_GRIDS[0]
         row = noise_field(np.random.default_rng(7), grid).values[2]
