@@ -5,7 +5,8 @@ Exit-code contract (stable, for CI consumption; _FAILURES maps errors to 2 and 3
     0  success / all assertions passed
     1  a preset assertion failed
     2  usage error: bad JSON, an unknown key or preset, a value of the wrong type,
-       or a value the library rejects while the config is built
+       a value the library rejects while the config is built, or a kernel
+       without the mode a subcommand reads (refused before it runs)
     3  configuration invariant violation (message includes the corrected bound),
        any other ValueError of a subcommand, a Penrose scan that cannot certify
        its winding, or a non-finite state
@@ -118,12 +119,12 @@ def _section(doc: dict, name: str) -> dict:
     return out
 
 
-def _check_bench_mode(bench: dict, kernel: InteractionKernel) -> None:
-    """ConfigError unless bench.mode is one of the kernel's active modes: the
-    memory kernel of any other mode is zero, and its bench would measure nothing."""
+def _check_active_mode(kernel: InteractionKernel, mode: int, reader: str) -> None:
+    """ConfigError unless ``mode`` is one of the kernel's active modes, the only ones with a
+    field series and a nonzero memory kernel; ``reader`` names what reads it."""
     active = kernel.active_modes()
-    if bench["mode"] not in active:
-        raise ConfigError(f"bench.mode {bench['mode']} is not an active mode of the kernel (active modes: "
+    if mode not in active:
+        raise ConfigError(f"{reader} {mode} is not an active mode of the kernel (active modes: "
                           f"{', '.join(map(str, active)) or 'none'})")
 
 
@@ -160,7 +161,7 @@ def parse_config(path) -> tuple[SimConfig, dict]:
     except (ValueError, OSError) as exc:
         raise ConfigError(" ".join(str(exc).split())) from exc
     if "bench" in extras:
-        _check_bench_mode(extras["bench"], cfg.kernel)
+        _check_active_mode(cfg.kernel, extras["bench"]["mode"], "bench.mode")
     cfg.validate()
     bench = extras.get("bench", {"t_list": ()})
     for t_final in bench["t_list"]:
@@ -211,6 +212,7 @@ def _save_json(path, obj) -> None:
 
 def cmd_run_sim(config_path, out: str | None) -> int:
     cfg, _ = parse_config(config_path)
+    _check_active_mode(cfg.kernel, 1, "run-sim writes z_1, but mode")
     d = _out_dir(out, "run")
     traj = run(cfg)
     write_timeseries_csv(traj, d / "timeseries.csv")
@@ -234,7 +236,7 @@ def cmd_penrose_check(config_path, out: str | None) -> int:
 def cmd_volterra_bench(config_path, out: str | None) -> int:
     cfg, extras = parse_config(config_path)
     opts = extras.get("bench") or _section({}, "bench")
-    _check_bench_mode(opts, cfg.kernel)      # the default mode 1 too
+    _check_active_mode(cfg.kernel, opts["mode"], "bench.mode")      # the default mode 1 too
     rows = lemvolterra_harness(cfg.kernel, cfg.profile, opts["gammas"], opts["t_list"], dt=opts["dt"],
                                mode=opts["mode"])
     d = _out_dir(out, "volterra")
@@ -243,22 +245,30 @@ def cmd_volterra_bench(config_path, out: str | None) -> int:
     return EXIT_OK
 
 
+def _scatter(cfg: SimConfig, out, tag: str) -> tuple:
+    """The scattering measurement of ``scatter`` and the scattering preset: run, scattering_limit
+    and measure_scattering, then g_inf.csv and eta_inf.csv in ``_out_dir(out, tag)``, made only
+    once the run is done.  Returns (that directory, trajectory, scattering result, slope, window)."""
+    traj = run(cfg)
+    result = scattering_limit(traj)
+    slope, window = measure_scattering(traj, result)
+    d = _out_dir(out, tag)
+    write_field_csv(result.field, d / "g_inf.csv")
+    save_profile_csv(weak_limit_profile(result.field, cfg.profile, cfg.epsilon), d / "eta_inf.csv")
+    return d, traj, result, slope, window
+
+
 def cmd_scatter(config_path, out: str | None) -> int:
     cfg, _ = parse_config(config_path)
+    _check_active_mode(cfg.kernel, 1, "scatter fits |z_1|, but mode")
     zeta_window = (max(1.0, cfg.t_final / 10.0), 0.9 * cfg.t_final)
     try:
         fit_window(np.arange(cfg.n_steps + 1) * cfg.dt, zeta_window)
     except ValueError as exc:
         raise InvariantViolation(f"t_final={cfg.t_final} and dt={cfg.dt} leave no |z_1| fit window: {exc}") from exc
     _scattering_samples(cfg)
-    traj = run(cfg)
-    result = scattering_limit(traj)
+    d, traj, result, slope, window = _scatter(cfg, out, "scatter")
     zeta_slope, zeta_r2 = decay_fit(traj.field_modes, zeta_window, mode=1)
-    slope, window = measure_scattering(traj, result)
-
-    d = _out_dir(out, "scatter")
-    write_field_csv(result.field, d / "g_inf.csv")
-    save_profile_csv(weak_limit_profile(result.field, cfg.profile, cfg.epsilon), d / "eta_inf.csv")
     _save_json(d / "rates.json", {
         "zeta_slope": float(zeta_slope), "zeta_r2": float(zeta_r2),
         "zeta_window": list(zeta_window),
@@ -413,21 +423,16 @@ def measure_scattering(traj, result) -> tuple:
 
 def _preset_scattering(d: Path, results: list) -> None:
     cfg = scattering_run_config()
-    traj = run(cfg)
-    result = scattering_limit(traj)
+    _, traj, result, slope, window = _scatter(cfg, d, "")
 
     half = scattering_limit(traj, up_to=cfg.t_final / 2.0)
     resumed = scattering_limit(traj, carry=half)
     add_err = float(np.max(np.abs(resumed.field.values - result.field.values)))
     _check(results, "split-and-resume additivity", add_err <= 1e-12, f"{add_err:.3e} <= 1e-12")
 
-    slope, window = measure_scattering(traj, result)
     bound = -(cfg.s - 4) + 1
     _check(results, "scattering convergence exponent", slope <= bound, f"slope {slope:.3f} <= {bound}")
     _conservation_checks(results, traj)
-
-    write_field_csv(result.field, d / "g_inf.csv")
-    save_profile_csv(weak_limit_profile(result.field, cfg.profile, cfg.epsilon), d / "eta_inf.csv")
     _save_json(d / "rates.json", {"scattering_slope": slope, "window": list(window),
                                   "tail_estimate": result.tail_estimate})
 

@@ -45,6 +45,7 @@ __all__ = [
     "cubic_interp",
     "column_offset",
     "MARGIN",
+    "window",
     "shift_plan",
     "shift_add",
     "sobolev_norm",
@@ -220,30 +221,44 @@ def cubic_interp(row: np.ndarray, grid: PhaseGrid, targets):
     return np.fromiter((_read(row, grid, x, offset) for x in t.flat), np.complex128, t.size).reshape(t.shape)
 
 
+def window(grid: PhaseGrid, centre: float, half: float) -> tuple:
+    """
+    The columns ``lo..hi-1`` of the nodes with ``|xi_j - centre| <= half``:
+    the ends from exact arithmetic on ``(centre -+ half) / dxi``, then moved
+    node by node to where the floats ``xi_j - centre`` cross ``-+half``.  An
+    infinite ``half`` gives every column; a window without a node, lo == hi.
+    """
+    xi = getattr(grid, "_nodes", None)      # the nodes as Python floats, made on the first search
+    if xi is None:      # set, not put in grid.__dict__: reading that slows every later attribute read
+        object.__setattr__(grid, "_nodes", xi := grid.xi.tolist())
+    n, centre, half = grid.n_xi, float(centre), float(half)
+    lo = math.ceil(min(max((centre - half + grid.xi_max) / grid.dxi, 0.0), n))
+    hi = math.floor(min(max((centre + half + grid.xi_max) / grid.dxi + 1.0, 0.0), n))
+    while lo > 0 and xi[lo - 1] - centre >= -half:
+        lo -= 1
+    while lo < n and xi[lo] - centre < -half:
+        lo += 1
+    while hi < n and xi[hi] - centre <= half:
+        hi += 1
+    while hi > 0 and xi[hi - 1] - centre > half:
+        hi -= 1
+    return lo, hi
+
+
 def shift_plan(grid: PhaseGrid, shift: float) -> tuple:
     """
     The stencil of a row shift by ``shift`` on rows of ``grid`` laid out with
     ``MARGIN`` zero columns on each side (node j at column j + MARGIN).
 
-    Returns ``(lo, hi, taps)``: columns lo..hi-1 hold the nodes with
-    ``|xi_j - shift| <= xi_max``, the window; ``taps`` holds the four
-    (column offset, Lagrange weight) pairs.  On the uniform grid the
-    fractional offset of ``xi_j - shift`` is the same for every node, so every
-    row shares one floor and four scalar weights (the semi-Lagrangian shift).
+    Returns ``(lo, hi, taps)``: ``window(grid, shift, xi_max)`` moved by
+    ``MARGIN``, and the four (column offset, Lagrange weight) pairs.
+    On the uniform grid the fractional offset of ``xi_j - shift`` is the same
+    for every node, so every row shares one floor and four scalar weights
+    (the semi-Lagrangian shift).
     """
-    n, xi, edge = grid.n_xi, grid.xi, grid.xi_max
     x = -float(shift) / grid.dxi
     f = math.floor(x)
-    # the window in exact arithmetic, its ends then moved to where the floats xi_j - shift cross -+xi_max
-    lo, hi = min(max(-f, 0), n), min(max(n - math.ceil(x), 0), n)
-    while lo > 0 and xi[lo - 1] - shift >= -edge:
-        lo -= 1
-    while lo < n and xi[lo] - shift < -edge:
-        lo += 1
-    while hi < n and xi[hi] - shift <= edge:
-        hi += 1
-    while hi > 0 and xi[hi - 1] - shift > edge:
-        hi -= 1
+    lo, hi = window(grid, shift, grid.xi_max)
     return lo + MARGIN, hi + MARGIN, tuple(zip(range(f - 1, f + 3), _lagrange_weights(x - f)))
 
 

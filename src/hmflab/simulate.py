@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grids import (MARGIN, InvariantViolation, PhaseGrid, SpectralField, column_offset, cubic_interp, make_grid,
-                    norm_ladder, shift_add, shift_plan, symmetrized_values)
+                    norm_ladder, shift_add, shift_plan, symmetrized_values, window)
 from .penrose import InteractionKernel, PenroseReport, penrose_check
 from .profiles import HomogeneousProfile, Perturbation, profile_hat, synth_initial
 from .volterra import ModeSeries, step_count
@@ -160,24 +160,6 @@ def extract_field_modes(values: np.ndarray, t: float, kernel: InteractionKernel,
 _SUPPORT_TINY = 1e-16  # |x etahat(x)| relative to its peak below which a forcing entry is dropped
 
 
-def _window(grid: PhaseGrid, xi: list, centre: float, half: float) -> tuple:
-    """Columns lo..hi-1 of the nodes ``xi`` (``grid.xi`` as Python floats) with
-    |xi_j - centre| <= half, found as ``shift_plan`` finds its window: in
-    exact arithmetic, then moved to where the floats xi_j - centre cross -+half."""
-    n = grid.n_xi
-    lo = min(max(math.ceil((centre - half + grid.xi_max) / grid.dxi), 0), n)
-    hi = min(max(math.floor((centre + half + grid.xi_max) / grid.dxi) + 1, 0), n)
-    while lo > 0 and xi[lo - 1] - centre >= -half:
-        lo -= 1
-    while lo < n and xi[lo] - centre < -half:
-        lo += 1
-    while hi < n and xi[hi] - centre <= half:
-        hi += 1
-    while hi > 0 and xi[hi - 1] - centre > half:
-        hi -= 1
-    return lo, hi
-
-
 class _StageFactors:
     """
     The factors of the rhs that depend on the stage time alone, built once per
@@ -191,24 +173,24 @@ class _StageFactors:
       with ``work``, the scratch every shift reuses;
     - ``background[n]``: ``(columns, row)``, the forcing row
       (-n p_n)(xi - n t) etahat(xi - n t) of each active mode on the
-      columns where |xi - n t| <= ``support``, one ``profile_hat`` call per
-      positive mode.
+      columns ``grids.window(grid, n t, support)``, one ``profile_hat`` call
+      per positive mode.
 
     ``support`` is found once, from ``eta_hat``, the transform on the grid's
     nodes (which the monitors reuse), by the rule ``product_trapezoid`` takes
     for its kernel: the last node where |xi etahat(xi)| is above 1e-16 of its
     peak, plus one cell.  Where that reaches xi_max the sample shows no decay
-    and every row is built whole (a tabulated table's tail sits at 1e-11 to
-    1e-9, so tables take this case).
+    and it is infinite, so every row is built whole (a tabulated table's tail
+    sits at 1e-11 to 1e-9, so tables take this case).
 
     ``columns`` are the grid columns of the arrays the factors serve, a
     window centred on xi = 0 (see "Linear runs: the reachable band" in
     docs/conventions.md).  At eps = 0 the rhs is exactly zero outside the
     forcing rows' supports, so a run whose stage times end at ``horizon``
-    reaches only |xi| <= M horizon + support, M the largest active mode, plus
-    the two columns of the field-mode reads' stencil; the window is every
-    column when eps > 0, when the support or the horizon is unbounded (as
-    for ``assemble_rhs``) or when that reach covers the grid.
+    reaches only ``grids.window(grid, 0, M horizon + support)``, M the largest
+    active mode, plus the two columns of the field-mode reads' stencil each
+    side: every column for an unbounded support or horizon (``assemble_rhs``)
+    or a reach that covers the grid.  With eps > 0 it is every column.
 
     Only the latest stage time is held: k2 and k3 share t + dt/2, and k4,
     evaluated at the next step's time, serves that step's k1.  Row -n is
@@ -232,11 +214,8 @@ class _StageFactors:
         above = np.nonzero(mag > _SUPPORT_TINY * mag.max())[0]
         reach = (float(np.max(np.abs(grid.xi[above]))) if above.size else 0.0) + grid.dxi
         self.support = math.inf if reach >= grid.xi_max else reach
-        self.nodes = grid.xi.tolist()
         extent = max(cfg.kernel.active_modes(), default=1) * horizon + self.support
-        lo = 0
-        if cfg.epsilon == 0.0 and extent < grid.xi_max:
-            lo = max(_window(grid, self.nodes, 0.0, extent)[0] - 2, 0)
+        lo = max(window(grid, 0.0, extent)[0] - 2, 0) if cfg.epsilon == 0.0 else 0
         self.columns = slice(lo, grid.n_xi - lo)
         self.coupling = self.work = None
         if cfg.epsilon != 0.0:
@@ -258,8 +237,8 @@ class _StageFactors:
         n_xi = grid.n_xi
         first = MARGIN - self.columns.start      # array column of grid column 0
         for n, scale in self.forcing:
-            shift = n * float(t)        # a Python float: the window's scalar arithmetic stays cheap
-            lo, hi = (0, n_xi) if self.support == math.inf else _window(grid, self.nodes, shift, self.support)
+            shift = n * float(t)
+            lo, hi = window(grid, shift, self.support)
             base = grid.xi[lo:hi] - shift
             row = scale * base * profile_hat(cfg.profile, base)
             self.background[n] = (slice(lo + first, hi + first), row)

@@ -221,7 +221,51 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
 
+# kernels whose mode 1 is inactive, with data on an active mode; run-sim and scatter read z_1
+INACTIVE_MODE_1 = {
+    "mode 2 only": (dict(TINY, n_max=2, xi_max=30.0, s=10, kernel={"p": [0.0, 0.25]},
+                         perturbation={"mode": 2}), "2"),
+    "no active mode": (dict(TINY, kernel={"p": [0.0]}), "none"),
+}
+# tiny schema-valid documents at the edges of what the schema accepts; eta.csv is written
+# into the working directory.  The first has no bench section: one with the default mode 1
+# would be refused at parse time for every subcommand
+SMALL = {"xi_max": 8.0, "n_xi": 81, "t_final": 3.0}
+EDGE = dict(TINY, **SMALL, bench={"gammas": [2.0], "t_list": [2.0], "dt": 0.05})
+EDGES = {
+    "inactive mode 1": dict(INACTIVE_MODE_1["mode 2 only"][0], **SMALL),
+    "perturbation mode 0": dict(EDGE, perturbation={"mode": 0}),
+    "negative perturbation mode": dict(EDGE, perturbation={"mode": -1, "envelope": "algebraic"}),
+    "m0 2": dict(EDGE, m0=2),
+    "tabulated background": dict(EDGE, profile={"kind": "tabulated", "path": "eta.csv"}),
+}
+
+
 class TestSubcommands:
+    @pytest.mark.parametrize("case", INACTIVE_MODE_1)
+    @pytest.mark.parametrize("command, reader", [("run-sim", "run-sim writes z_1"), ("scatter", "scatter fits |z_1|")])
+    def test_inactive_mode_1_refused_before_the_run(self, tmp_path, case, command, reader):
+        doc, active = INACTIVE_MODE_1[case]
+        out = tmp_path / "out"
+        proc = run_cli(command, write_config(tmp_path, doc), "--out", str(out))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == (f"config error: {reader}, but mode 1 is not an active mode of the kernel "
+                               f"(active modes: {active})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", INACTIVE_MODE_1)
+    def test_penrose_check_takes_a_kernel_without_mode_1(self, tmp_path, case):
+        doc, _ = INACTIVE_MODE_1[case]
+        assert main(["penrose-check", write_config(tmp_path, doc), "--out", str(tmp_path / "pen")]) == EXIT_OK
+
+    @pytest.mark.parametrize("case", EDGES)
+    @pytest.mark.parametrize("command", ["run-sim", "penrose-check", "volterra-bench", "scatter"])
+    def test_edge_configs_keep_the_exit_contract(self, tmp_path, monkeypatch, capsys, case, command):
+        monkeypatch.chdir(tmp_path)
+        write_table(tmp_path)
+        code = main([command, write_config(tmp_path, EDGES[case]), "--out", str(tmp_path / "out")])
+        assert code in (0, 1, 2, 3), capsys.readouterr().err
+
     def test_run_sim_artifacts(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY)
         out = tmp_path / "out"

@@ -213,6 +213,41 @@ class TestShiftPlanWindow:
         assert near_whole_cell > 100
 
 
+def window_centres(grid):
+    """On nodes, one ulp either side of them, mid-cell, and outside the grid."""
+    out = []
+    for j in (0, 1, grid.n_xi // 3, grid.n_xi // 2, grid.n_xi - 2, grid.n_xi - 1):
+        node = grid.xi[j]
+        out += [node, np.nextafter(node, np.inf), np.nextafter(node, -np.inf), node + 0.5 * grid.dxi]
+    return out + [grid.xi_max + 3 * grid.dxi, -grid.xi_max - 0.5 * grid.dxi, 2.5 * grid.xi_max, -4 * grid.xi_max,
+                  1e300, -1e300]
+
+
+def window_halves(grid):
+    """0, a sub-cell width, a forcing support's width (a node plus one cell), xi_max,
+    more than 2 xi_max, and inf."""
+    support = grid.xi[3 * grid.n_xi // 4] + grid.dxi
+    return [0.0, 0.3 * grid.dxi, support, grid.xi_max, 2 * grid.xi_max + grid.dxi, np.inf]
+
+
+class TestWindow:
+    @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=["dxi0.125", "dxi0.06"])
+    def test_equals_the_nodes_within_half_of_centre(self, grid):
+        for centre in window_centres(grid):
+            for half in window_halves(grid):
+                lo, hi = H.grids.window(grid, centre, half)
+                inside = np.flatnonzero(np.abs(grid.xi - centre) <= half)
+                assert 0 <= lo <= hi <= grid.n_xi, (centre, half)
+                assert list(range(lo, hi)) == inside.tolist(), (centre, half)
+
+    @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=["dxi0.125", "dxi0.06"])
+    def test_shift_plan_takes_the_xi_max_window(self, grid):
+        m = H.grids.MARGIN
+        for shift in shift_cases(grid) + window_centres(grid):
+            lo, hi = H.grids.window(grid, shift, grid.xi_max)
+            assert H.shift_plan(grid, shift)[:2] == (lo + m, hi + m), f"shift {shift!r}"
+
+
 def margined(vals):
     """``vals`` with grids.MARGIN zero columns on each side of every row, the layout shift_add reads."""
     m = H.grids.MARGIN
