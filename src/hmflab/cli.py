@@ -213,8 +213,8 @@ def _save_json(path, obj) -> None:
 def cmd_run_sim(config_path, out: str | None) -> int:
     cfg, _ = parse_config(config_path)
     _check_active_mode(cfg.kernel, 1, "run-sim writes z_1, but mode")
-    d = _out_dir(out, "run")
     traj = run(cfg)
+    d = _out_dir(out, "run")
     write_timeseries_csv(traj, d / "timeseries.csv")
     write_field_csv(traj.snapshots[-1], d / "final_state.csv")
     print(f"run-sim: {cfg.n_steps} steps to t={cfg.t_final}; artifacts in {d}")
@@ -261,6 +261,11 @@ def _scatter(cfg: SimConfig, out, tag: str) -> tuple:
 def cmd_scatter(config_path, out: str | None) -> int:
     cfg, _ = parse_config(config_path)
     _check_active_mode(cfg.kernel, 1, "scatter fits |z_1|, but mode")
+    active = cfg.kernel.active_modes()
+    if not any(q.amplitude > 0 and abs(q.mode) in active for q in cfg.perturbations):
+        # every z_k(0) is 0 and every rhs term carries a z_k, so the state would never move
+        raise ConfigError(f"scatter fits |z_1|, but no perturbation with amplitude > 0 is on an active mode "
+                          f"of the kernel (active modes: {', '.join(map(str, active))})")
     zeta_window = (max(1.0, cfg.t_final / 10.0), 0.9 * cfg.t_final)
     try:
         fit_window(np.arange(cfg.n_steps + 1) * cfg.dt, zeta_window)

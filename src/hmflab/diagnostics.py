@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import InvariantViolation, SpectralField, sobolev_norm
+from .grids import InvariantViolation, SpectralField, above_floor, sobolev_norm
 from .profiles import HomogeneousProfile, chirp_z, profile_values, tabulated
 from .simulate import Trajectory, assemble_rhs
 from .volterra import ModeSeries
@@ -217,14 +217,14 @@ def weak_limit_profile(g_inf: SpectralField, prof: HomogeneousProfile, epsilon: 
     (the x-average is exactly the n = 0 row under the transform convention).
     The result is inverse-transformed by a chirp-z transform (the xi nodes
     are the centres of cells of width dxi) onto v at spacing 0.025: the 961
-    points of [-12, 12], or that window doubled until the background at
-    both ends is below 1e-16 of its peak on it.  It is returned as a
+    points of [-12, 12], or that window doubled until ``grids.above_floor``
+    finds neither end of the background on it.  It is returned as a
     tabulated profile.
     """
     grid = g_inf.grid
     v = np.linspace(-12.0, 12.0, 961)
     eta = profile_values(prof, v)
-    while max(abs(eta[0]), abs(eta[-1])) > 1e-16 * np.max(np.abs(eta)):
+    while np.isin((0, v.size - 1), above_floor(eta)).any():
         v = np.linspace(2.0 * v[0], 2.0 * v[-1], 2 * v.size - 1)
         eta = profile_values(prof, v)
     weights = grid.trapz_weights() * g_inf.mode(0)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
 
@@ -46,6 +47,7 @@ __all__ = [
     "column_offset",
     "MARGIN",
     "window",
+    "above_floor",
     "shift_plan",
     "shift_add",
     "sobolev_norm",
@@ -56,7 +58,7 @@ __all__ = [
 ]
 
 
-# zero columns on each side of a row that shift_add reads and writes
+# the four-tap read's reach in columns: the zero columns each side of a row that shift_add uses
 MARGIN = 2
 
 
@@ -224,25 +226,23 @@ def cubic_interp(row: np.ndarray, grid: PhaseGrid, targets):
 def window(grid: PhaseGrid, centre: float, half: float) -> tuple:
     """
     The columns ``lo..hi-1`` of the nodes with ``|xi_j - centre| <= half``:
-    the ends from exact arithmetic on ``(centre -+ half) / dxi``, then moved
-    node by node to where the floats ``xi_j - centre`` cross ``-+half``.  An
-    infinite ``half`` gives every column; a window without a node, lo == hi.
+    two binary searches of the float differences ``xi_j - centre``, which
+    are monotone in j.  An infinite ``half`` gives every column; a window
+    without a node, lo == hi.
     """
     xi = getattr(grid, "_nodes", None)      # the nodes as Python floats, made on the first search
     if xi is None:      # set, not put in grid.__dict__: reading that slows every later attribute read
         object.__setattr__(grid, "_nodes", xi := grid.xi.tolist())
-    n, centre, half = grid.n_xi, float(centre), float(half)
-    lo = math.ceil(min(max((centre - half + grid.xi_max) / grid.dxi, 0.0), n))
-    hi = math.floor(min(max((centre + half + grid.xi_max) / grid.dxi + 1.0, 0.0), n))
-    while lo > 0 and xi[lo - 1] - centre >= -half:
-        lo -= 1
-    while lo < n and xi[lo] - centre < -half:
-        lo += 1
-    while hi < n and xi[hi] - centre <= half:
-        hi += 1
-    while hi > 0 and xi[hi - 1] - centre > half:
-        hi -= 1
-    return lo, hi
+    half, key = float(half), float(centre).__rsub__      # key(x) is x - centre, evaluated in C
+    return bisect_left(xi, -half, key=key), bisect_right(xi, half, key=key)
+
+
+def above_floor(values) -> np.ndarray:
+    """The indices where ``|values|`` is above 1e-16 of its peak, where a
+    sampled kernel, forcing or background counts as nonzero; none for an
+    all-zero input."""
+    mag = np.abs(values)
+    return np.flatnonzero(mag > 1e-16 * mag.max())
 
 
 def shift_plan(grid: PhaseGrid, shift: float) -> tuple:

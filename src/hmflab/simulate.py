@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import (MARGIN, InvariantViolation, PhaseGrid, SpectralField, column_offset, cubic_interp, make_grid,
-                    norm_ladder, shift_add, shift_plan, symmetrized_values, window)
+from .grids import (MARGIN, InvariantViolation, PhaseGrid, SpectralField, above_floor, column_offset, cubic_interp,
+                    make_grid, norm_ladder, shift_add, shift_plan, symmetrized_values, window)
 from .penrose import InteractionKernel, PenroseReport, penrose_check
 from .profiles import HomogeneousProfile, Perturbation, profile_hat, synth_initial
 from .volterra import ModeSeries, step_count
@@ -140,12 +140,12 @@ def extract_field_modes(values: np.ndarray, t: float, kernel: InteractionKernel,
     ``values`` holds whole rows, or the centred window of columns a linear
     run marches (see ``grids.column_offset``).
 
-    The read positions must stay at least two cells inside the columns held
-    (|k t| <= xi_max - 2*dxi on whole rows); violating that is a configuration
-    bug and fails hard rather than silently truncating.
+    The read positions must stay the read's reach, ``MARGIN`` cells, inside
+    the columns held (|k t| <= xi_max - 2*dxi on whole rows); violating that
+    is a configuration bug and fails hard rather than silently truncating.
     """
     t = float(t)      # np.float64 scalar arithmetic would cost more than the read
-    edge = grid.xi_max - (column_offset(grid, values.shape[-1]) + 2) * grid.dxi
+    edge = grid.xi_max - (column_offset(grid, values.shape[-1]) + MARGIN) * grid.dxi
     out = {}
     for k in _active_modes(kernel):
         target = k * t
@@ -155,9 +155,6 @@ def extract_field_modes(values: np.ndarray, t: float, kernel: InteractionKernel,
                 f"|xi| <= {edge:.6g}, two cells inside the columns held; enlarge xi_max")
         out[k] = cubic_interp(values[grid.row(k)], grid, target)
     return out
-
-
-_SUPPORT_TINY = 1e-16  # |x etahat(x)| relative to its peak below which a forcing entry is dropped
 
 
 class _StageFactors:
@@ -177,20 +174,20 @@ class _StageFactors:
       per positive mode.
 
     ``support`` is found once, from ``eta_hat``, the transform on the grid's
-    nodes (which the monitors reuse), by the rule ``product_trapezoid`` takes
-    for its kernel: the last node where |xi etahat(xi)| is above 1e-16 of its
-    peak, plus one cell.  Where that reaches xi_max the sample shows no decay
-    and it is infinite, so every row is built whole (a tabulated table's tail
-    sits at 1e-11 to 1e-9, so tables take this case).
+    nodes (which the monitors reuse): the last node of
+    ``grids.above_floor(xi etahat(xi))``, plus one cell.  Where that reaches
+    xi_max the sample shows no decay and it is infinite, so every row is
+    built whole (a tabulated table's tail sits at 1e-11 to 1e-9, so tables
+    take this case).
 
     ``columns`` are the grid columns of the arrays the factors serve, a
     window centred on xi = 0 (see "Linear runs: the reachable band" in
     docs/conventions.md).  At eps = 0 the rhs is exactly zero outside the
     forcing rows' supports, so a run whose stage times end at ``horizon``
     reaches only ``grids.window(grid, 0, M horizon + support)``, M the largest
-    active mode, plus the two columns of the field-mode reads' stencil each
-    side: every column for an unbounded support or horizon (``assemble_rhs``)
-    or a reach that covers the grid.  With eps > 0 it is every column.
+    active mode, plus the read's reach, ``MARGIN`` columns, each side: every
+    column for an unbounded support or horizon (``assemble_rhs``) or a reach
+    that covers the grid.  With eps > 0 it is every column.
 
     Only the latest stage time is held: k2 and k3 share t + dt/2, and k4,
     evaluated at the next step's time, serves that step's k1.  Row -n is
@@ -210,12 +207,11 @@ class _StageFactors:
             self.blocks[k] = (slice(grid.row(lo), grid.row(hi) + 1), slice(grid.row(lo - k), grid.row(hi - k) + 1))
         self.forcing = [(n, -n * cfg.kernel.coefficient(n)) for n in cfg.kernel.active_modes()]
         self.eta_hat = profile_hat(cfg.profile, grid.xi)
-        mag = np.abs(grid.xi * self.eta_hat)
-        above = np.nonzero(mag > _SUPPORT_TINY * mag.max())[0]
+        above = above_floor(grid.xi * self.eta_hat)
         reach = (float(np.max(np.abs(grid.xi[above]))) if above.size else 0.0) + grid.dxi
         self.support = math.inf if reach >= grid.xi_max else reach
         extent = max(cfg.kernel.active_modes(), default=1) * horizon + self.support
-        lo = max(window(grid, 0.0, extent)[0] - 2, 0) if cfg.epsilon == 0.0 else 0
+        lo = max(window(grid, 0.0, extent)[0] - MARGIN, 0) if cfg.epsilon == 0.0 else 0
         self.columns = slice(lo, grid.n_xi - lo)
         self.coupling = self.work = None
         if cfg.epsilon != 0.0:
@@ -431,10 +427,10 @@ def run(cfg: SimConfig) -> Trajectory:
     # overwritten in place: neither allocates anything of the grid's size
     buf = np.empty((3,) + state.shape, dtype=np.complex128)
     defect = np.empty(state.shape)
-    modes = record(0, 0.0, 0.0)
-    # a state that blows up overflows inside the step; a nan or inf entry
-    # reaches the drift through subtract, abs and max, so the drift reports it
+    # a state that blows up overflows inside the step or its monitors; a nan or
+    # inf entry reaches the drift through subtract, abs and max, so the drift reports it
     with np.errstate(over="ignore", invalid="ignore"):
+        modes = record(0, 0.0, 0.0)
         for i in range(1, n_steps + 1):
             raw = _step_values(state, times[i - 1], times[i], modes, factors, buf)
             # per-step symmetry drift, measured before the averaging re-enforces it

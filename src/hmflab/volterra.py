@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import InvariantViolation
+from .grids import InvariantViolation, above_floor
 from .penrose import InteractionKernel, memory_kernel, penrose_check
 
-_SUPPORT_TINY = 1e-16  # |K| relative to its peak below which a lag is dropped
 _BLOCK = 32  # steps per block of the march
 _MARCH_ENTRIES = 4e6  # complex entries per temporary of the march (64 MB), the fourier_sum bound
 
@@ -93,7 +92,7 @@ def product_trapezoid(kernel_samples: np.ndarray, forcing_samples: np.ndarray, d
     z_j = (F_j + dt*(K_j z_0/2 + sum_{0<i<j} K_{j-i} z_i)) / (1 - dt*K_0/2).
 
     The history sum runs over the kernel's numerical support only: with L
-    the last index where |K_m| > 1e-16 max|K| (0 for a zero kernel), step j
+    the last index of ``grids.above_floor(K)`` (0 for a zero kernel), step j
     sums the lags 1..min(L, j-1), which drops at most
     n * 1e-16 * max|K| * max|z| * dt.  When the last sample is above that
     level, L = n and every step sums its whole history.
@@ -129,8 +128,7 @@ def product_trapezoid(kernel_samples: np.ndarray, forcing_samples: np.ndarray, d
     if abs(denom) < 1e-8:
         raise ValueError(f"step-size failure: |1 - (dt/2) K(0)| = {abs(denom):.2e} < 1e-8, reduce dt")
     n, B = K.size - 1, _BLOCK
-    mag = np.abs(K)
-    above = np.nonzero(mag > _SUPPORT_TINY * mag.max())[0]
+    above = above_floor(K)
     support = int(above[-1]) if above.size else 0
     width = 1 + -(-n // B) * B
     # dt*K at the lags 0..L+B-1, zero at lag 0 and past the support

@@ -240,6 +240,12 @@ EDGES = {
     "tabulated background": dict(EDGE, profile={"kind": "tabulated", "path": "eta.csv"}),
 }
 
+# perturbations that leave every z_k(0) at exactly 0 on TINY's cosine kernel: mode 0, no amplitude,
+# or modes the kernel lacks; scatter refuses them before the run
+SILENT = {"mode 0": {"mode": 0},
+          "amplitude 0": {"mode": 1, "amplitude": 0.0},
+          "inactive mode 2": [{"mode": 2, "amplitude": 0.5}, {"mode": 0, "amplitude": 0.5}]}
+
 
 class TestSubcommands:
     @pytest.mark.parametrize("case", INACTIVE_MODE_1)
@@ -328,6 +334,31 @@ class TestSubcommands:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run-sim", write_config(tmp_path, doc), "--out", str(tmp_path / "r")]) == EXIT_INVARIANT
         assert "non-finite state" in capsys.readouterr().err
+
+    def test_failed_run_sim_leaves_no_directory(self, tmp_path):
+        doc = dict(TINY, epsilon=1.0, perturbation={"mode": 1, "envelope": "gaussian", "amplitude": 1e300})
+        out = tmp_path / "r"
+        proc = run_cli("run-sim", write_config(tmp_path, doc), "--out", str(out))
+        assert proc.returncode == EXIT_INVARIANT
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("integration failed: non-finite state"), \
+            proc.stderr
+        assert not out.exists()
+
+    def test_scatter_refuses_silent_data_from_a_fresh_process(self, tmp_path):
+        out = tmp_path / "out"
+        proc = run_cli("scatter", write_config(tmp_path, EDGES["perturbation mode 0"]), "--out", str(out))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == ("config error: scatter fits |z_1|, but no perturbation with amplitude > 0 is on an "
+                               "active mode of the kernel (active modes: 1)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", SILENT)
+    def test_scatter_refuses_silent_data_before_it_runs(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.setattr("hmflab.cli.run", lambda cfg: pytest.fail("scatter ran the simulation"))
+        doc = dict(TINY, n_max=2, xi_max=24.0, n_xi=481, perturbation=SILENT[case])
+        assert main(["scatter", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: scatter fits |z_1|, but no perturbation")
+        assert not (tmp_path / "out").exists()
 
     def test_volterra_bench_csv(self, tmp_path):
         doc = dict(TINY)

@@ -1,4 +1,6 @@
-"""Grid construction, weighted Sobolev norms, interpolation, embedding, field output."""
+"""Grid construction, weighted Sobolev norms, interpolation, embedding, field output, support floor."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import quad
 
 import hmflab as H
-from hmflab.grids import symmetrized_values
+from hmflab.grids import above_floor, symmetrized_values
 
 
 def gaussian_field(grid, modes=(0,)):
@@ -257,3 +259,49 @@ class TestSeriesCsv:
         fields = set((tmp_path / "wide_got.csv").read_text().replace("\n", ",").split(","))
         assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "4000"} <= fields
 
+
+
+def above_floor_reference(values):
+    """Index by index in Python complexes: the indices above 1e-16 of the largest magnitude."""
+    mags = [abs(complex(x)) for x in values]
+    floor = 1e-16 * max(mags)
+    return [j for j, m in enumerate(mags) if m > floor]
+
+
+class TestAboveFloor:
+    GRID = H.make_grid(2, 24.0, 481, 1)
+
+    def forcing(self, profile):
+        return self.GRID.xi * H.profile_hat(profile, self.GRID.xi)
+
+    def test_maxwellian_forcing_is_a_symmetric_band(self):
+        got = above_floor(self.forcing(H.maxwellian(1.0)))
+        assert got.tolist() == above_floor_reference(self.forcing(H.maxwellian(1.0)))
+        # xi = 0 carries an exact zero; the rest is one band on each side, mirrored
+        centre = self.GRID.n_xi // 2
+        assert centre not in got and got.tolist() == sorted(self.GRID.n_xi - 1 - got)
+        assert got[-1] - got[0] + 1 == got.size + 1
+
+    def test_two_stream_with_a_cos_zero_next_to_the_last_node(self):
+        # etahat = exp(-T xi^2 / 2) cos(v0 xi) with cos(v0 xi) = 0 at xi = 8.8, a node
+        values = self.forcing(H.two_stream(1.0, 5.5 * math.pi / 8.8))
+        got = above_floor(values)
+        assert got.tolist() == above_floor_reference(values)
+        last = got[-1]
+        assert self.GRID.xi[last + 1] == pytest.approx(8.8, abs=1e-12)
+        assert abs(values[last + 1]) < 1e-30 * np.max(np.abs(values)) < abs(values[last + 2])
+
+    def test_tabulated_plateau_keeps_every_index(self):
+        v = np.linspace(-8.0, 8.0, 161)
+        table = H.tabulated(v, np.exp(-v * v / 2.0) / np.sqrt(2.0 * np.pi))
+        values = self.forcing(table)
+        got = above_floor(values)
+        assert got.tolist() == above_floor_reference(values)
+        # the spline transform's tail sits far above the floor: every node but the exact zero at xi = 0
+        centre = self.GRID.n_xi // 2
+        assert got.tolist() == [j for j in range(self.GRID.n_xi) if j != centre]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_all_zero_input_has_no_indices(self, dtype):
+        got = above_floor(np.zeros(7, dtype=dtype))
+        assert got.size == 0 and above_floor_reference(np.zeros(7, dtype=dtype)) == []

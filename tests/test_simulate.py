@@ -155,6 +155,17 @@ class TestRun:
         assert np.max(np.abs(traj.field_modes.mode(1))) == 0.0
         assert len(traj.field_modes.times) == cfg.n_steps + 1
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_mode_0_data_leaves_every_field_mode_zero(self, epsilon):
+        # every z_k(0) is 0 and every rhs term carries a z_k, so the state never
+        # moves; scatter refuses such data before the run for this reason
+        cfg = replace(small_config(epsilon=epsilon, t_final=2.0, dt=0.05),
+                      perturbations=(H.Perturbation(mode=0), H.Perturbation(mode=0, envelope="algebraic")))
+        traj = H.run(cfg)
+        for k, series in traj.field_modes.values.items():
+            assert np.all(series == 0.0), k
+        assert np.array_equal(traj.snapshots[-1].values, traj.snapshots[0].values)
+
     def test_linear_run_matches_volterra(self):
         cfg = small_config(epsilon=0.0, t_final=10.0, dt=0.01)
         traj = H.run(cfg)
