@@ -35,7 +35,6 @@ from .profiles import (
 from .penrose import (
     InteractionKernel,
     PenroseReport,
-    ScanParameters,
     critical_parameter,
     growth_rate,
     memory_kernel,

@@ -32,8 +32,8 @@ import numpy as np
 from .diagnostics import (conservation_drifts, convergence_series, decay_fit, fit_window, q_monitor,
                           scattering_limit, weak_limit_profile, weighted_mode_series)
 from .grids import InvariantViolation, make_grid, write_field_csv, write_series_csv
-from .penrose import (InteractionKernel, ScanParameters, ScanRefinementError, critical_parameter, growth_rate,
-                      memory_kernel, penrose_check)
+from .penrose import (InteractionKernel, ScanRefinementError, critical_parameter, growth_rate, memory_kernel,
+                      penrose_check)
 from .profiles import Perturbation, load_profile_csv, maxwellian, save_profile_csv, two_stream
 from .simulate import NonFiniteState, SimConfig, run
 from .volterra import lemvolterra_harness, solve_volterra, step_count
@@ -224,8 +224,7 @@ def cmd_run_sim(config_path, out: str | None) -> int:
 def cmd_penrose_check(config_path, out: str | None) -> int:
     cfg, extras = parse_config(config_path)
     opts = extras.get("penrose") or _section({}, "penrose")
-    report = penrose_check(cfg.kernel, cfg.profile, kappa_target=opts["kappa_target"],
-                           scan=ScanParameters(tau_max=opts["tau_max"], n_tau=opts["n_tau"]))
+    report = penrose_check(cfg.kernel, cfg.profile, **opts)
     d = _out_dir(out, "penrose")
     _save_json(d / "penrose_report.json", report.to_json_dict())
     verdict = "stable" if report.stable else "UNSTABLE"
@@ -245,17 +244,19 @@ def cmd_volterra_bench(config_path, out: str | None) -> int:
     return EXIT_OK
 
 
-def _scatter(cfg: SimConfig, out, tag: str) -> tuple:
-    """The scattering measurement of ``scatter`` and the scattering preset: run, scattering_limit
-    and measure_scattering, then g_inf.csv and eta_inf.csv in ``_out_dir(out, tag)``, made only
-    once the run is done.  Returns (that directory, trajectory, scattering result, slope, window)."""
+def _scatter(cfg: SimConfig) -> tuple:
+    """The scattering measurement of ``scatter`` and the scattering preset, which writes nothing:
+    (trajectory, scattering_limit result, measure_scattering's slope and window, weak limit eta_inf)."""
     traj = run(cfg)
     result = scattering_limit(traj)
     slope, window = measure_scattering(traj, result)
-    d = _out_dir(out, tag)
+    return traj, result, slope, window, weak_limit_profile(result.field, cfg.profile, cfg.epsilon)
+
+
+def _write_scattering_state(d: Path, result, eta_inf) -> None:
+    """g_inf.csv and eta_inf.csv of a _scatter measurement, in ``d``."""
     write_field_csv(result.field, d / "g_inf.csv")
-    save_profile_csv(weak_limit_profile(result.field, cfg.profile, cfg.epsilon), d / "eta_inf.csv")
-    return d, traj, result, slope, window
+    save_profile_csv(eta_inf, d / "eta_inf.csv")
 
 
 def cmd_scatter(config_path, out: str | None) -> int:
@@ -272,8 +273,10 @@ def cmd_scatter(config_path, out: str | None) -> int:
     except ValueError as exc:
         raise InvariantViolation(f"t_final={cfg.t_final} and dt={cfg.dt} leave no |z_1| fit window: {exc}") from exc
     _scattering_samples(cfg)
-    d, traj, result, slope, window = _scatter(cfg, out, "scatter")
+    traj, result, slope, window, eta_inf = _scatter(cfg)
     zeta_slope, zeta_r2 = decay_fit(traj.field_modes, zeta_window, mode=1)
+    d = _out_dir(out, "scatter")       # made once every fit has succeeded
+    _write_scattering_state(d, result, eta_inf)
     _save_json(d / "rates.json", {
         "zeta_slope": float(zeta_slope), "zeta_r2": float(zeta_r2),
         "zeta_window": list(zeta_window),
@@ -428,7 +431,8 @@ def measure_scattering(traj, result) -> tuple:
 
 def _preset_scattering(d: Path, results: list) -> None:
     cfg = scattering_run_config()
-    _, traj, result, slope, window = _scatter(cfg, d, "")
+    traj, result, slope, window, eta_inf = _scatter(cfg)
+    _write_scattering_state(d, result, eta_inf)
 
     half = scattering_limit(traj, up_to=cfg.t_final / 2.0)
     resumed = scattering_limit(traj, carry=half)

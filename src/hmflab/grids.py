@@ -463,18 +463,15 @@ def symmetrized_values(values: np.ndarray, out: np.ndarray | None = None) -> np.
 
 def write_field_csv(field: SpectralField, path) -> None:
     """
-    Write a field snapshot as CSV with header ``n,xi,re,im``.
+    Write a field snapshot through ``write_series_csv`` with header ``n,xi,re,im``.
 
     Rows are in lexicographic (n, xi-index) order with 17-significant-digit
-    decimal floats, so snapshots round-trip and diff cleanly.
+    decimal floats (integral n prints as an integer), so snapshots round-trip
+    and diff cleanly.
     """
-    grid = field.grid
-    values = field.values.ravel()
-    columns = (np.repeat(grid.modes, grid.n_xi).tolist(), np.tile(grid.xi, grid.shape[0]).tolist(),
-               values.real.tolist(), values.imag.tolist())
-    with open(path, "w") as fh:
-        fh.write("n,xi,re,im\n")
-        fh.writelines("%d,%.17g,%.17g,%.17g\n" % row for row in zip(*columns))
+    grid, values = field.grid, field.values.ravel()
+    write_series_csv(path, "n,xi,re,im", [np.repeat(grid.modes, grid.n_xi), np.tile(grid.xi, grid.shape[0]),
+                                          values.real, values.imag])
 
 
 def write_series_csv(path, header: str, columns) -> None:

@@ -31,7 +31,6 @@ from .profiles import HomogeneousProfile, chirp_z, fourier_sum, gauss_panels, pr
 
 __all__ = [
     "InteractionKernel",
-    "ScanParameters",
     "ModeStability",
     "PenroseReport",
     "ScanRefinementError",
@@ -166,18 +165,6 @@ def memory_kernel_transform(ik: InteractionKernel, prof: HomogeneousProfile, n: 
 
 
 @dataclass(frozen=True)
-class ScanParameters:
-    """Real-axis scan controls for the winding check."""
-
-    tau_max: float | None = None   # None: auto-extend until the tail is negligible
-    n_tau: int = 2001
-
-    def __post_init__(self) -> None:
-        if self.n_tau < 2:
-            raise ValueError(f"n_tau must be >= 2, got {self.n_tau}")
-
-
-@dataclass(frozen=True)
 class ModeStability:
     """Verdict for one positive mode number."""
 
@@ -227,28 +214,28 @@ class ScanRefinementError(RuntimeError):
     """Raised when the tau scan cannot be refined to a trustworthy winding."""
 
 
-def _scan_mode(ik, prof, n, kappa_target, scan: ScanParameters) -> ModeStability:
+def _scan_mode(ik, prof, n, kappa_target, tau_max, n_tau: int) -> ModeStability:
     tail_threshold = max(kappa_target / 10.0, _TAIL_FLOOR)
 
     # one panel rule per probe of tau_max; the last probe's rule also serves
     # the scan, its near-origin points and every refinement midpoint
-    probes = [16.0 * 2.0 ** k for k in range(16)] if scan.tau_max is None else [float(scan.tau_max)]
-    for tau_max in probes:
-        nodes, fw, hp = _panel_rule(ik, prof, n, tau_max)
-        edge = abs(fourier_sum(nodes, fw, tau_max))
+    probes = [16.0 * 2.0 ** k for k in range(16)] if tau_max is None else [float(tau_max)]
+    for tau_end in probes:
+        nodes, fw, hp = _panel_rule(ik, prof, n, tau_end)
+        edge = abs(fourier_sum(nodes, fw, tau_end))
         if edge < tail_threshold:
             break
     else:
-        if scan.tau_max is None:
+        if tau_max is None:
             raise ScanRefinementError(
-                f"mode {n}: |Khat| does not decay below {tail_threshold} by tau={2.0 * tau_max}")
+                f"mode {n}: |Khat| does not decay below {tail_threshold} by tau={2.0 * tau_end}")
         raise ScanRefinementError(
-            f"mode {n}: tau_max={scan.tau_max} too small, |Khat(tau_max)|={edge:.3e} >= {tail_threshold:.1e}")
+            f"mode {n}: tau_max={tau_max} too small, |Khat(tau_max)|={edge:.3e} >= {tail_threshold:.1e}")
 
     # the uniform scan by chirp-z; where 1 - Khat comes within _NEAR_ORIGIN of
     # the origin the winding hinges on the last digits (at a critical parameter
     # the curve passes through it), so those points take the dense sum
-    taus = np.linspace(-tau_max, tau_max, scan.n_tau)
+    taus = np.linspace(-tau_end, tau_end, n_tau)
     z = 1.0 - chirp_z(fw, 0.0, hp, (0.5 * hp) * _GL16[0], taus)
     near = np.nonzero(np.abs(z) < _NEAR_ORIGIN)[0]
     if near.size:
@@ -281,20 +268,22 @@ def _scan_mode(ik, prof, n, kappa_target, scan: ScanParameters) -> ModeStability
                          stable=stable, tau_scan=scan_arr)
 
 
-def penrose_check(ik: InteractionKernel, prof: HomogeneousProfile,
-                  kappa_target: float = 1e-2,
-                  scan: ScanParameters | None = None) -> PenroseReport:
+def penrose_check(ik: InteractionKernel, prof: HomogeneousProfile, kappa_target: float = 1e-2,
+                  tau_max: float | None = None, n_tau: int = 2001) -> PenroseReport:
     """
     Winding-number stability check of every active mode.
 
     A mode is stable when the closed curve tau -> 1 - Khat(n, tau) has zero
     winding about the origin (no resolvent zeros below the real axis) and its
-    real-axis minimum modulus is at least ``kappa_target``.  The scan is
-    refined adaptively near close approaches to the origin and fails loudly
-    if it cannot certify the winding.
+    real-axis minimum modulus is at least ``kappa_target``.  Each mode is
+    scanned at ``n_tau`` (at least 2) uniform points of [-tau_max, tau_max];
+    ``tau_max`` None doubles it from 16 until |Khat| there is negligible.
+    The scan is refined adaptively near close approaches to the origin and
+    fails loudly if it cannot certify the winding.
     """
-    scan = scan or ScanParameters()
-    modes = tuple(_scan_mode(ik, prof, n, kappa_target, scan) for n in ik.active_modes())
+    if n_tau < 2:
+        raise ValueError(f"n_tau must be >= 2, got {n_tau}")
+    modes = tuple(_scan_mode(ik, prof, n, kappa_target, tau_max, n_tau) for n in ik.active_modes())
     return PenroseReport(modes=modes, kappa_target=kappa_target)
 
 
@@ -315,7 +304,7 @@ def _bisect(keep_lo, lo: float, hi: float, tol: float) -> float:
 
 # critical_parameter's scan: coarse, since the subtended-angle refinement loop
 # is the safety net and a bisection takes many verdicts
-_BISECTION_SCAN = ScanParameters(n_tau=601)
+_BISECTION_SCAN = 601
 
 
 def critical_parameter(family, lo: float, hi: float, tol: float = 1e-3) -> float:
@@ -335,7 +324,7 @@ def critical_parameter(family, lo: float, hi: float, tol: float = 1e-3) -> float
 
     def verdict(theta: float) -> bool:
         k, p = family(theta)
-        return penrose_check(k, p, kappa_target=0.0, scan=_BISECTION_SCAN).stable
+        return penrose_check(k, p, kappa_target=0.0, n_tau=_BISECTION_SCAN).stable
 
     v_lo = verdict(lo)
     v_hi = verdict(hi)

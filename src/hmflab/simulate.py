@@ -174,7 +174,7 @@ class _StageFactors:
       per positive mode.
 
     ``support`` is found once, from ``eta_hat``, the transform on the grid's
-    nodes (which the monitors reuse): the last node of
+    nodes (which run()'s L2 monitor reuses): the last node of
     ``grids.above_floor(xi etahat(xi))``, plus one cell.  Where that reaches
     xi_max the sample shows no decay and it is infinite, so every row is
     built whole (a tabulated table's tail sits at 1e-11 to 1e-9, so tables
@@ -312,41 +312,6 @@ def _step_values(values: np.ndarray, t: float, t_next: float, modes: dict, facto
     return np.add(values, acc, out=acc)
 
 
-class _Monitors:
-    """Per-step diagnostics shared by run(); precomputes static pieces, with
-    ``eta_hat`` the background transform on the grid's nodes."""
-
-    def __init__(self, cfg: SimConfig, eta_hat: np.ndarray):
-        grid = cfg.grid
-        self.cfg = cfg
-        self.tw = grid.trapz_weights()
-        self.eta_hat_grid = np.asarray(eta_hat, dtype=np.complex128)
-        self.row0 = grid.row(0)
-        eta = self.eta_hat_grid
-        self.background_l2 = float(np.sqrt(np.add.reduce((eta.real ** 2 + eta.imag ** 2) * self.tw)))
-        self.work = np.empty((2,) + grid.shape)      # scratch of full_l2
-
-    def full_l2(self, values: np.ndarray) -> float:
-        """||eta + eps*g||_{L2}: the rows n != 0 carry eps*g alone."""
-        eps = self.cfg.epsilon
-        if eps == 0.0:
-            return self.background_l2
-        sq = np.multiply(values.real, values.real, out=self.work[0])
-        sq += np.multiply(values.imag, values.imag, out=self.work[1])
-        sq *= self.tw
-        rows = np.add.reduce(sq, axis=1)
-        rows[self.row0] = 0.0
-        f0 = eps * values[self.row0] + self.eta_hat_grid
-        total = eps * eps * float(np.add.reduce(rows))
-        total += float(np.add.reduce((f0.real ** 2 + f0.imag ** 2) * self.tw))
-        return float(np.sqrt(total))
-
-    def sample(self, values: np.ndarray) -> tuple:
-        """The mass ghat_0(t, 0), in the centre column of the whole rows or of a
-        linear run's centred window, and the L2 norm (whole rows when eps > 0)."""
-        return complex(values[self.row0, values.shape[1] // 2]), self.full_l2(values)
-
-
 def run(cfg: SimConfig) -> Trajectory:
     """
     Integrate the configuration from its synthesized initial data.
@@ -398,7 +363,6 @@ def run(cfg: SimConfig) -> Trajectory:
     # of the marched columns; core is the state on them
     state = _margined(band_full[:, columns])
     core = state[:, MARGIN:-MARGIN]
-    monitors = _Monitors(band, factors.eta_hat)
 
     active = _active_modes(cfg.kernel)
     zeta = {k: np.empty(n_steps + 1, dtype=np.complex128) for k in active}
@@ -409,12 +373,35 @@ def run(cfg: SimConfig) -> Trajectory:
     ladder = np.empty((len(snapshot_due), cfg.s + 1))
     snapshots = []
     snapshot_times = []
+    tw = grid.trapz_weights()
+    eta_hat = np.asarray(factors.eta_hat, dtype=np.complex128)
+    row0 = grid.row(0)
+    background_l2 = float(np.sqrt(np.add.reduce((eta_hat.real ** 2 + eta_hat.imag ** 2) * tw)))
+    l2_work = np.empty((2,) + grid.shape)
+
+    def full_l2() -> float:
+        """||eta + eps g||_{L2} of core, which holds whole rows when eps > 0:
+        the rows n != 0 carry eps g alone."""
+        eps = cfg.epsilon
+        if eps == 0.0:
+            return background_l2
+        sq = np.multiply(core.real, core.real, out=l2_work[0])
+        sq += np.multiply(core.imag, core.imag, out=l2_work[1])
+        sq *= tw
+        rows = np.add.reduce(sq, axis=1)
+        rows[row0] = 0.0
+        f0 = eps * core[row0] + eta_hat
+        total = eps * eps * float(np.add.reduce(rows))
+        total += float(np.add.reduce((f0.real ** 2 + f0.imag ** 2) * tw))
+        return float(np.sqrt(total))
 
     def record(i: int, t: float, defect: float) -> dict:
         zk = extract_field_modes(core, t, cfg.kernel, grid)
         for k in active:
             zeta[k][i] = zk[k]
-        mass[i], l2[i] = monitors.sample(core)
+        # the mass ghat_0(t, 0) sits in the centre column, of whole rows or of a linear run's window
+        mass[i] = complex(core[row0, core.shape[1] // 2])
+        l2[i] = full_l2()
         defects[i] = defect
         if i in snapshot_due:
             band_full[:, columns] = core

@@ -17,60 +17,24 @@ independent route in both cases):
   x-independent gaussian already violates the smaller constant at
   (k, xi, alpha, beta) = (0, 0, 0, 0).  The inequality with the corrected
   constant is covered in test_grids.
+
+The five preset runs are session fixtures of conftest.py, which tests/test_cli.py
+also serves to the preset bodies.
 """
 
 import time
 
 import numpy as np
-import pytest
 from conftest import random_band_limited
 
 import hmflab as H
-from hmflab.cli import (crosscheck_run_config, damping_run_config, finite_m2_run_config, measure_crosscheck,
-                        measure_damping, measure_finite_m2, measure_penrose_scan, measure_scattering,
-                        measure_unstable, measure_volterra_analytic, scattering_run_config,
-                        unstable_run_config)
+from hmflab.cli import (measure_damping, measure_finite_m2, measure_penrose_scan, measure_scattering, measure_unstable,
+                        measure_volterra_analytic)
 
 
 def report(cid: str, ok: bool, detail: str) -> None:
     print(f"[{cid}] {'PASS' if ok else 'FAIL'}: {detail}", flush=True)
     assert ok, f"{cid}: {detail}"
-
-
-def timed_run(cfg):
-    t0 = time.monotonic()
-    traj = H.run(cfg)
-    return traj, time.monotonic() - t0
-
-
-@pytest.fixture(scope="module")
-def damping_traj():
-    return timed_run(damping_run_config())
-
-
-@pytest.fixture(scope="module")
-def scattering_data():
-    traj, secs = timed_run(scattering_run_config())
-    return traj, H.scattering_limit(traj), secs
-
-
-@pytest.fixture(scope="module")
-def m2_traj():
-    return timed_run(finite_m2_run_config())
-
-
-@pytest.fixture(scope="module")
-def unstable_traj():
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return timed_run(unstable_run_config())
-
-
-@pytest.fixture(scope="module")
-def crosscheck_data():
-    traj, secs = timed_run(crosscheck_run_config())
-    return traj, measure_crosscheck(traj)[0], secs
 
 
 def test_criterion_01_volterra_analytic_oracle():

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import hmflab as H
-from hmflab.cli import (_SCHEMA, _VARIANTS, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, ConfigError, main, measure_scattering,
-                        parse_config, run_preset)
+from hmflab.cli import (_SCHEMA, _VARIANTS, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, PRESET_NAMES, ConfigError,
+                        crosscheck_run_config, damping_run_config, finite_m2_run_config, main, measure_scattering,
+                        parse_config, run_preset, scattering_run_config, unstable_run_config)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -352,6 +353,17 @@ class TestSubcommands:
                                "active mode of the kernel (active modes: 1)\n")
         assert not out.exists()
 
+    def test_scatter_whose_fit_fails_leaves_no_directory(self, tmp_path):
+        # mode-2 data under the kernel (0.5, 0.25) never reaches the odd rows, so z_1 stays 0
+        # and the |z_1| fit fails once the run is done
+        doc = dict(TINY, n_max=2, xi_max=24.0, n_xi=481, s=10, kernel={"p": [0.5, 0.25]},
+                   perturbation={"mode": 2, "envelope": "gaussian", "amplitude": 1.0})
+        out = tmp_path / "out"
+        proc = run_cli("scatter", write_config(tmp_path, doc), "--out", str(out))
+        assert proc.returncode == EXIT_INVARIANT
+        assert proc.stderr == "invariant violation: series underflows 1e-14 at t=1; no usable sub-window\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", SILENT)
     def test_scatter_refuses_silent_data_before_it_runs(self, tmp_path, monkeypatch, capsys, case):
         monkeypatch.setattr("hmflab.cli.run", lambda cfg: pytest.fail("scatter ran the simulation"))
@@ -469,6 +481,35 @@ class TestPresets:
         text = capsys.readouterr().out
         assert "[PASS]" in text and "[FAIL]" not in text
         assert (tmp_path / "va" / "volterra_analytic.csv").exists()
+
+    # each preset's artifacts (14 in all), and the conftest fixture holding the run of each run config
+    ARTIFACTS = {
+        "volterra-analytic": {"volterra_analytic.csv"},
+        "penrose-scan": {"penrose_report.json", "critical_temperature.json"},
+        "linear-crosscheck": {"timeseries.csv", "crosscheck.csv"},
+        "damping-cosine": {"timeseries.csv", "rates.json"},
+        "unstable-anticosine": {"timeseries.csv", "rates.json"},
+        "scattering": {"g_inf.csv", "eta_inf.csv", "rates.json"},
+        "finite-M2": {"timeseries.csv", "monitor.json"},
+    }
+    RUNS = {"crosscheck_data": crosscheck_run_config, "damping_traj": damping_run_config,
+            "unstable_traj": unstable_run_config, "scattering_data": scattering_run_config,
+            "m2_traj": finite_m2_run_config}
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset_body_passes(self, tmp_path, monkeypatch, capsys, request, name):
+        # the runs are the acceptance fixtures, served where the preset asks for the config they ran
+        def served(cfg):
+            fixture = next(f for f, build in self.RUNS.items() if build() == cfg)
+            return request.getfixturevalue(fixture)[0]
+
+        monkeypatch.setattr("hmflab.cli.run", served)
+        out = tmp_path / "p"
+        assert run_preset(name, out=str(out)) == EXIT_OK
+        *checks, summary = capsys.readouterr().out.splitlines()
+        assert checks and all(line.startswith(f"[PASS] {name}: ") for line in checks), checks
+        assert summary == f"preset {name}: {len(checks)}/{len(checks)} assertions passed; artifacts in {out}"
+        assert {p.name for p in out.iterdir()} == self.ARTIFACTS[name]
 
     def test_preset_cli_entry(self, tmp_path):
         assert main(["preset", "volterra-analytic", "--out", str(tmp_path / "va2")]) == EXIT_OK

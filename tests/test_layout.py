@@ -1,6 +1,9 @@
 """Package layout: modules reach each other only through public names."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -103,6 +106,87 @@ def test_checker_sees_exports_without_caller(tmp_path):
     caller.write_text('import pkg\npkg.a.by_attr()\nTARGETS = (("a", "by_string"),)\n')
     assert exports_without_caller(package, [caller]) == [("a", "unused"), ("a", "recursive"), ("a", "Klass"),
                                                          ("b", "orphan")]
+
+
+def _resolve(node, roots: dict):
+    """The object an attribute chain starting at one of ``roots`` (name -> object) names,
+    None for any other expression; AttributeError where a link of the chain is missing."""
+    if isinstance(node, ast.Name):
+        return roots.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(node.value, roots)
+        return None if owner is None else getattr(owner, node.attr)
+    return None
+
+
+def surface_reached(tree: ast.Module, roots: dict) -> tuple:
+    """(references, misses) of what ``tree`` reaches through ``roots``: each attribute chain
+    from a root, and each keyword a call through such a chain passes, is a reference; a
+    missing link, or a keyword outside the callee's signature (without ``**kwargs``), a miss."""
+    refs, misses = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            try:
+                if _resolve(node, roots) is not None:
+                    refs.add(ast.unparse(node))
+            except AttributeError:
+                misses.add(f"no {ast.unparse(node)}")
+        elif isinstance(node, ast.Call):
+            try:
+                callee = _resolve(node.func, roots)
+            except AttributeError:
+                continue                    # the missing link is the attribute's miss
+            if callee is None:
+                continue
+            params = inspect.signature(callee).parameters
+            takes_any = any(p.kind is p.VAR_KEYWORD for p in params.values())
+            for kw in (kw.arg for kw in node.keywords if kw.arg is not None):
+                refs.add(f"{ast.unparse(node.func)}({kw}=)")
+                if not takes_any and kw not in params:
+                    misses.add(f"{ast.unparse(node.func)} takes no {kw}=")
+    return refs, sorted(misses)
+
+
+def load_perfbench(name: str, monkeypatch):
+    """perfbench/<name>.py as a module, registered in sys.modules for the test."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_surface_resolves(tmp_path, monkeypatch):
+    # the benchmark calls hmflab by name and passes keywords and config keys that
+    # removing a public name or an option can break, while its files stay as they are
+    workloads = load_perfbench("workloads", monkeypatch)
+    roots = {name: obj for name, obj in vars(workloads).items()
+             if inspect.ismodule(obj) and obj.__name__.split(".")[0] == "hmflab"}
+    assert set(roots) == {"H", "cli", "grids"}
+    path = ROOT / "perfbench" / "workloads.py"
+    refs, misses = surface_reached(ast.parse(path.read_text(), filename=str(path)), roots)
+    assert not misses, misses
+    assert {"H.run", "cli.parse_config", "grids.write_series_csv", "H.scattering_limit(up_to=)",
+            "H.scattering_limit(carry=)", "H.SpectralField(real_valued=)", "H.growth_rate(n=)"} <= refs
+    targets = load_perfbench("tracer", monkeypatch).TARGETS
+    absent = [(module, func) for module, func, *_ in targets
+              if not hasattr(importlib.import_module(f"hmflab.{module}"), func)]
+    assert not absent, f"traced functions hmflab lacks: {absent}"
+    for w in workloads.WORKLOADS.values():
+        out = tmp_path / w.name
+        out.mkdir()
+        params, parsed = workloads.setup(w, 1, 0, out)
+        assert set(parsed) == set(w.configs(params)), w.name
+
+
+def test_checker_sees_surface_misses():
+    import hmflab as H
+    tree = ast.parse("H.run(cfg)\nH.penrose_check(k, p, n_tau=5, scan=None)\nH.gone()\nH.InteractionKernel.nope\n"
+                     "x.y(z=1)\nH.SpectralField(g, v, real_valued=False)\nH.maxwellian(1.0).T\n")
+    refs, misses = surface_reached(tree, {"H": H})
+    assert misses == ["H.penrose_check takes no scan=", "no H.InteractionKernel.nope", "no H.gone"]
+    assert refs == {"H.run", "H.penrose_check", "H.penrose_check(n_tau=)", "H.penrose_check(scan=)",
+                    "H.InteractionKernel", "H.SpectralField", "H.SpectralField(real_valued=)", "H.maxwellian"}
 
 
 MATRIX_PRODUCTS = {"dot", "matmul", "tensordot", "inner", "vdot"}

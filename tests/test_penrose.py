@@ -110,8 +110,8 @@ class TestPenroseCheck:
 
     def test_winding_invariant_under_refinement(self):
         for kernel, T in ((COS, 1.0), (ANTI, 0.4), (ANTI, 0.7)):
-            coarse = H.penrose_check(kernel, H.maxwellian(T), scan=H.ScanParameters(n_tau=801))
-            fine = H.penrose_check(kernel, H.maxwellian(T), scan=H.ScanParameters(n_tau=1601))
+            coarse = H.penrose_check(kernel, H.maxwellian(T), n_tau=801)
+            fine = H.penrose_check(kernel, H.maxwellian(T), n_tau=1601)
             assert coarse.modes[0].winding == fine.modes[0].winding
 
     def test_two_mode_kernel_reports_both(self):
@@ -253,10 +253,10 @@ class TestOneRulePerQuestion:
 
     def test_one_rule_per_probe_none_for_scan_or_refinements(self, monkeypatch):
         rules = self.count_rule_samples(monkeypatch)
-        mode = H.penrose_check(ANTI, H.maxwellian(0.49), scan=H.ScanParameters(n_tau=101)).modes[0]
+        mode = H.penrose_check(ANTI, H.maxwellian(0.49), n_tau=101).modes[0]
         assert mode.tau_scan.shape[0] > 101                       # the scan was refined
         assert mode.tau_scan[-1, 0] == 32.0 and rules() == 2      # probes at 16 and 32
-        mode = H.penrose_check(ANTI, H.maxwellian(0.2), scan=H.ScanParameters(tau_max=40.0, n_tau=101)).modes[0]
+        mode = H.penrose_check(ANTI, H.maxwellian(0.2), tau_max=40.0, n_tau=101).modes[0]
         assert mode.tau_scan.shape[0] > 101 and rules() == 3      # one probe at the given tau_max
 
     def test_one_rule_per_growth_rate(self, monkeypatch):
