@@ -259,14 +259,35 @@ def _write_scattering_state(d: Path, result, eta_inf) -> None:
     save_profile_csv(eta_inf, d / "eta_inf.csv")
 
 
+def _reached_rows(cfg: SimConfig) -> set:
+    """The rows a run's data can make nonzero: the perturbed rows +-mode and, at eps > 0,
+    every a + k with a and k reached, k an active mode of the kernel and |a + k| <= n_max
+    (row n takes z_k times row n - k); at eps = 0 each row keeps to itself, and a row
+    outside the set stays exactly 0."""
+    rows = {sign * q.mode for q in cfg.perturbations if q.amplitude > 0 for sign in (1, -1)}
+    if cfg.epsilon == 0.0:
+        return rows
+    active = {sign * k for k in cfg.kernel.active_modes() for sign in (1, -1)}
+    while True:
+        more = {a + k for a in rows for k in rows & active if abs(a + k) <= cfg.grid.n_max} - rows
+        if not more:
+            return rows
+        rows |= more
+
+
 def cmd_scatter(config_path, out: str | None) -> int:
     cfg, _ = parse_config(config_path)
     _check_active_mode(cfg.kernel, 1, "scatter fits |z_1|, but mode")
-    active = cfg.kernel.active_modes()
-    if not any(q.amplitude > 0 and abs(q.mode) in active for q in cfg.perturbations):
-        # every z_k(0) is 0 and every rhs term carries a z_k, so the state would never move
-        raise ConfigError(f"scatter fits |z_1|, but no perturbation with amplitude > 0 is on an active mode "
-                          f"of the kernel (active modes: {', '.join(map(str, active))})")
+    reached = _reached_rows(cfg)
+    if 1 not in reached:
+        active = cfg.kernel.active_modes()
+        if reached.isdisjoint(active):
+            # every z_k(0) is 0 and every rhs term carries a z_k, so the state would never move
+            why = (f"no perturbation with amplitude > 0 is on an active mode of the kernel "
+                   f"(active modes: {', '.join(map(str, active))})")
+        else:
+            why = f"the data reaches only the modes {', '.join(map(str, sorted(reached)))}, so z_1 stays exactly 0"
+        raise ConfigError(f"scatter fits |z_1|, but {why}")
     zeta_window = (max(1.0, cfg.t_final / 10.0), 0.9 * cfg.t_final)
     try:
         fit_window(np.arange(cfg.n_steps + 1) * cfg.dt, zeta_window)

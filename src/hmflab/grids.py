@@ -398,11 +398,10 @@ def norm_ladder(field: SpectralField, max_order: int) -> np.ndarray:
 
     scale = [grid.dxi * comb(grid.m0, r) / (12.0 * grid.dxi * grid.dxi) ** r
              for r in range(grid.m0 + 1)]
-    # identity terms have no cancellation: one reduction per (q, k) over j
+    # identity terms have no cancellation: one reduction per (q, k) over j;
+    # the three stencil terms meet at each j before the sum over j
     W = scale[0] * np.einsum("kj,qj->qk", prods[0], ident)
-    for q in range(max_order + 1):
-        # the three stencil terms meet at each j before the sum over j
-        W[q] += scale[1] * np.add.reduce(np.einsum("dkj,dj->kj", prods, bands[q], out=work[3]), axis=1)
+    W += scale[1] * np.add.reduce(np.einsum("dkj,qdj->qkj", prods, bands), axis=2)
     if grid.m0 > 1:
         end_column = np.array([30.0, -16.0, 1.0])     # S e_0 near the first node
         a = u

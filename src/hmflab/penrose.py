@@ -45,7 +45,8 @@ _KERNEL_TINY = 1e-16  # quadrature truncation threshold on |K|
 _T_CUT_CAP = 400.0
 _GL16 = np.polynomial.legendre.leggauss(16)
 # |1 - Khat| below which the uniform scan takes the dense sum: the chirp-z
-# roundoff (<= ~1e-12) would turn the direction there by up to 1e-4 rad
+# roundoff (<= 1.6e-13 measured on the test scans, 4e-13 bounded) would turn
+# the direction there by up to 4e-5 rad
 _NEAR_ORIGIN = 1e-8
 _MAX_REFINEMENTS = 48  # angle-halving rounds before a scan is declared too coarse
 # floor on the |Khat| tail threshold when kappa_target / 10 is smaller (as in

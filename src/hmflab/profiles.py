@@ -171,33 +171,46 @@ def chirp_z(weights, a: float, step: float, offsets, taus):
     tau_j = tau_c + j dtau, x_g = a + (pc + 1/2) step + offsets[g] and
     alpha = step dtau,
 
-        sum(tau_j) = sum_g exp(-i tau_j x_g) A_g[j],
-        A_g[j] = sum_p weights[p, g] exp(-i tau_c step p) exp(-i alpha j p),
+        sum(tau_j) = exp(-i alpha j^2 / 2) sum_g exp(-i tau_j x_g) C_g[j],
+        C_g[j] = sum_p weights[p, g] exp(-i tau_c step p - i alpha p^2 / 2)
+                 exp(i alpha (j - p)^2 / 2),
 
     one chirp-z transform over the panels per offset; Bluestein's
-    j p = (j^2 + p^2 - (j - p)^2) / 2 makes it one FFT convolution.  This is
-    O((P + n_tau) log) work in place of n_tau * P * len(offsets) complex
-    exponentials.  Centring the indices keeps the chirp phases, and with
-    them the roundoff, four times smaller.
+    j p = (j^2 + p^2 - (j - p)^2) / 2 makes it one FFT convolution C_g, and
+    one table of exp(i alpha k^2 / 2) over the lags k = j - p serves both
+    its chirp and the conjugate post-factor.  This is O((P + n_tau) log)
+    work in place of n_tau * P * len(offsets) complex exponentials.
+    Centring the indices keeps the chirp phases, and with them the
+    roundoff, four times smaller.  The phases exp(-i tau_j x_g) come from
+    two small tables: with j + jc = m b + r and m = ceil(sqrt(n_tau)), a
+    coarse one at tau_{m b - jc} and a fine one at r dtau, about
+    2 sqrt(n_tau) exponentials per offset.
     """
     taus = np.asarray(taus)
     if not _is_uniform(taus):
         raise ValueError("chirp_z needs a real uniform progression of at least 2 targets")
     fw = np.reshape(weights, (len(weights), -1))
     n_panels, n_tau = fw.shape[0], taus.size
-    alpha = step * (taus[-1] - taus[0]) / (n_tau - 1)
+    dtau = (taus[-1] - taus[0]) / (n_tau - 1)
+    alpha = step * dtau
     jc, pc = (n_tau - 1) // 2, (n_panels - 1) // 2
-    j = np.arange(n_tau) - jc
     p = np.arange(n_panels) - pc
     lags = np.arange(1 - n_panels, n_tau) - (jc - pc)      # every j - p
+    half = np.exp(0.5j * alpha * lags ** 2)
     size = _next_fast_len(n_panels + n_tau - 1)
     chirp = np.zeros(size, dtype=np.complex128)
-    chirp[:n_tau] = np.exp(0.5j * alpha * lags[n_panels - 1:] ** 2)
-    chirp[size - n_panels + 1:] = np.exp(0.5j * alpha * lags[:n_panels - 1] ** 2)
+    chirp[:n_tau] = half[n_panels - 1:]
+    chirp[size - n_panels + 1:] = half[:n_panels - 1]
     x = fw.T * np.exp(-1j * (taus[jc] * step * p + 0.5 * alpha * p * p))
     conv = np.fft.ifft(np.fft.fft(x, size, axis=-1) * np.fft.fft(chirp), axis=-1)[:, :n_tau]
-    outer = np.exp(-1j * np.multiply.outer(taus, a + (pc + 0.5) * step + np.atleast_1d(offsets)))
-    return np.add.reduce(outer * (conv * np.exp(-0.5j * alpha * j * j)).T, axis=1)
+    x_g = (a + (pc + 0.5) * step + np.atleast_1d(offsets))[:, None]
+    m = int(np.ceil(np.sqrt(n_tau)))
+    n_blocks = -(-n_tau // m)
+    coarse = np.exp(-1j * x_g * (taus[jc] + (m * np.arange(n_blocks) - jc) * dtau))
+    fine = np.exp(-1j * x_g * (np.arange(m) * dtau))
+    phases = (coarse[:, :, None] * fine[:, None, :]).reshape(len(x_g), -1)[:, :n_tau]
+    phases *= conv
+    return np.add.reduce(phases, axis=0) * np.conj(half[n_panels - 1 - pc:n_panels - 1 - pc + n_tau])
 
 
 def _spline(v: np.ndarray, y: np.ndarray):

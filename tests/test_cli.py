@@ -247,6 +247,17 @@ SILENT = {"mode 0": {"mode": 0},
           "amplitude 0": {"mode": 1, "amplitude": 0.0},
           "inactive mode 2": [{"mode": 2, "amplitude": 0.5}, {"mode": 0, "amplitude": 0.5}]}
 
+# data on active modes that never reaches row 1: mode-2 data under the kernel (0.5, 0.25) stays on
+# the even rows (row n takes z_k times row n - k), and at eps = 0 on its own rows
+PARITY = dict(TINY, n_max=2, xi_max=24.0, n_xi=481, s=10, kernel={"p": [0.5, 0.25]},
+              perturbation={"mode": 2, "envelope": "gaussian", "amplitude": 1.0})
+UNREACHED_MODE_1 = {
+    "parity": (PARITY, "-2, 0, 2"),
+    "parity at eps 0": (dict(PARITY, epsilon=0.0), "-2, 2"),
+    "mode 3 alone": (dict(TINY, n_max=3, xi_max=32.0, n_xi=641, s=14, kernel={"p": [0.5, 0.25, 0.1]},
+                          perturbation={"mode": 3}), "-3, 0, 3"),
+}
+
 
 class TestSubcommands:
     @pytest.mark.parametrize("case", INACTIVE_MODE_1)
@@ -354,15 +365,39 @@ class TestSubcommands:
         assert not out.exists()
 
     def test_scatter_whose_fit_fails_leaves_no_directory(self, tmp_path):
-        # mode-2 data under the kernel (0.5, 0.25) never reaches the odd rows, so z_1 stays 0
-        # and the |z_1| fit fails once the run is done
-        doc = dict(TINY, n_max=2, xi_max=24.0, n_xi=481, s=10, kernel={"p": [0.5, 0.25]},
-                   perturbation={"mode": 2, "envelope": "gaussian", "amplitude": 1.0})
+        # data of amplitude 1e-6: |z_1| is Landau-damped below 1e-14 within the fit window,
+        # so the |z_1| fit fails once the run is done
+        doc = dict(TINY, xi_max=33.0, n_xi=1321, t_final=30.0,
+                   perturbation={"mode": 1, "envelope": "gaussian", "amplitude": 1e-6})
         out = tmp_path / "out"
         proc = run_cli("scatter", write_config(tmp_path, doc), "--out", str(out))
         assert proc.returncode == EXIT_INVARIANT
-        assert proc.stderr == "invariant violation: series underflows 1e-14 at t=1; no usable sub-window\n"
+        assert proc.stderr == ("invariant violation: series underflows 1e-14 at t=13.95; "
+                               "largest usable sub-window is [3, 13.9]\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", UNREACHED_MODE_1)
+    def test_scatter_refuses_data_that_never_reaches_mode_1(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.setattr("hmflab.cli.run", lambda cfg: pytest.fail("scatter ran the simulation"))
+        doc, reached = UNREACHED_MODE_1[case]
+        assert main(["scatter", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"config error: scatter fits |z_1|, but the data reaches only the "
+                                           f"modes {reached}, so z_1 stays exactly 0\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_scatter_takes_data_that_reaches_mode_1_through_a_coupling(self, tmp_path, monkeypatch):
+        # rows 2 and 3 meet in row 3 - 2 = 1 through z_{-2}
+        class Ran(Exception):
+            pass
+
+        def ran(cfg):
+            raise Ran
+
+        monkeypatch.setattr("hmflab.cli._scatter", ran)
+        doc = dict(TINY, n_max=3, xi_max=32.0, n_xi=641, s=14, kernel={"p": [0.5, 0.25, 0.1]},
+                   perturbation=[{"mode": 2}, {"mode": 3}])
+        with pytest.raises(Ran):
+            main(["scatter", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("case", SILENT)
     def test_scatter_refuses_silent_data_before_it_runs(self, tmp_path, monkeypatch, capsys, case):

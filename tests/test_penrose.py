@@ -292,7 +292,8 @@ class TestUniformScanTransform:
         exact = khat_closed_form(n * n * TWO.coefficient(n), n * n * T, taus)
         # the public transform sums the same rule for these taus
         assert np.array_equal(dense, H.memory_kernel_transform(TWO, prof, n, taus))
-        assert np.max(np.abs(got - dense)) < 1e-10
+        # measured over these 24 shapes: at most 1.6e-13
+        assert np.max(np.abs(got - dense)) <= 4e-13
         assert np.max(np.abs(got - exact)) < 1e-10
 
     def test_two_stream(self):

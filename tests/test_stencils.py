@@ -2,20 +2,23 @@
 Hot-path stencils cross-checked against per-node loop references.
 
 ``slow_norm_ladder`` applies the weight stencil to every xi^q ghat, one
-order q at a time; ``slow_cubic_interp`` reads a zero-padded copy of a row
-at all targets in one array expression; ``slow_rhs`` interpolates each
-(n, k) pair of rows with it.  ``grids.norm_ladder``, ``grids.cubic_interp``,
+order q at a time, and ``per_order_norm_ladder`` is the banded ladder with
+one stencil reduction per order; ``slow_cubic_interp`` reads a zero-padded
+copy of a row at all targets in one array expression; ``slow_rhs``
+interpolates each (n, k) pair of rows with it.  ``grids.norm_ladder``, ``grids.cubic_interp``,
 ``grids.shift_add`` and the right-hand side must agree with them.
 """
 
 import warnings
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
 from conftest import random_band_limited
 
 import hmflab as H
+from hmflab import grids
 
 
 def slow_second_derivative(u, dxi):
@@ -56,6 +59,38 @@ def slow_norm_ladder(field, max_order):
             total += float(np.add.reduce(kfac * W[q]))
         norms2[n] = max(total, 0.0)
     return np.sqrt(norms2)
+
+
+def per_order_norm_ladder(field, max_order):
+    """``grids.norm_ladder`` with one stencil einsum and one reduction per order q,
+    the loop that one einsum over every order replaced."""
+    grid, u = field.grid, field.values
+    ident, bands, kfac = grids._ladder_plan(grid, max_order)
+    n = grid.n_xi
+    prods = np.zeros((3,) + u.shape)
+    for d in range(3):
+        prods[d, :, : n - d] = (u.real[:, : n - d] * u.real[:, d:]) + (u.imag[:, : n - d] * u.imag[:, d:])
+    scale = [grid.dxi * comb(grid.m0, r) / (12.0 * grid.dxi * grid.dxi) ** r for r in range(grid.m0 + 1)]
+    W = scale[0] * np.einsum("kj,qj->qk", prods[0], ident)
+    for q in range(max_order + 1):
+        W[q] += scale[1] * np.add.reduce(np.einsum("dkj,dj->kj", prods, bands[q]), axis=1)
+    if grid.m0 > 1:
+        end_column = np.array([30.0, -16.0, 1.0])
+        a = u
+        for q in range(max_order + 1):
+            if q:
+                a = a * grid.xi
+            right = grids._weight_stencil(a)
+            left = right.copy()
+            left[:, :3] -= 0.5 * a[:, :1] * end_column
+            left[:, -3:] -= 0.5 * a[:, -1:] * end_column[::-1]
+            left = np.conj(left)
+            for r in range(2, grid.m0 + 1):
+                if r > 2:
+                    right = grids._weight_stencil(right)
+                W[q] += scale[r] * np.add.reduce((left * right).real, axis=1)
+    totals = [float(np.add.reduce((kfac[order::-1] * W[: order + 1]).ravel())) for order in range(max_order + 1)]
+    return np.sqrt(np.maximum(totals, 0.0))
 
 
 def slow_cubic_interp(row, grid, targets):
@@ -131,6 +166,17 @@ class TestNormLadder:
             ref = slow_norm_ladder(f, 7)
             assert np.all(ref > 0)
             assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("n_max, xi_max, n_xi, m0", [(2, 18.0, 361, 1), (4, 40.96, 2049, 1), (2, 50.0, 1001, 2),
+                                                         (1, 20.48, 1025, 3), (3, 5.12, 257, 2)])
+    def test_bitwise_per_order_loop(self, n_max, xi_max, n_xi, m0):
+        grid = H.make_grid(n_max, xi_max, n_xi, m0)
+        rng = np.random.default_rng(n_xi)
+        for f in (random_band_limited(rng, grid), noise_field(rng, grid)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)      # the narrow window reads negative
+                for order in range(14):
+                    assert np.array_equal(H.norm_ladder(f, order), per_order_norm_ladder(f, order)), order
 
     @pytest.mark.parametrize("m0", [1, 2, 3])
     def test_entry_independent_of_max_order(self, m0):
