@@ -129,6 +129,11 @@ def _kernel_cutoff(ik: InteractionKernel, prof: HomogeneousProfile, n: int) -> f
     return cutoffs[key]
 
 
+def _panel_width(tau_abs_max: float) -> float:
+    """The widest panel whose 16 points resolve exp(-i tau t) for |Re tau| <= tau_abs_max."""
+    return min(0.25, 8.0 / max(tau_abs_max, 1.0))
+
+
 def _panel_rule(ik, prof, n, tau_abs_max: float):
     """
     Composite 16-point Gauss-Legendre rule resolving exp(-i tau t) phases for
@@ -138,7 +143,7 @@ def _panel_rule(ik, prof, n, tau_abs_max: float):
     families of panel-spaced nodes, so a tabulated transform takes chirp-z.
     """
     t_cut = _kernel_cutoff(ik, prof, n)
-    h = min(0.25, 8.0 / max(tau_abs_max, 1.0))
+    h = _panel_width(tau_abs_max)
     n_panels = max(4, int(np.ceil(t_cut / h)))
     nodes, w = gauss_panels(0.0, t_cut, n_panels, _GL16)
     return nodes, w * memory_kernel(ik, prof, n, nodes.T).T, t_cut / n_panels
@@ -218,11 +223,15 @@ class ScanRefinementError(RuntimeError):
 def _scan_mode(ik, prof, n, kappa_target, tau_max, n_tau: int) -> ModeStability:
     tail_threshold = max(kappa_target / 10.0, _TAIL_FLOOR)
 
-    # one panel rule per probe of tau_max; the last probe's rule also serves
-    # the scan, its near-origin points and every refinement midpoint
+    # one panel rule per panel width of the tau_max probes (16 and 32 share one);
+    # the last rule also serves the scan, its near-origin points and every refinement midpoint
     probes = [16.0 * 2.0 ** k for k in range(16)] if tau_max is None else [float(tau_max)]
+    built = None
     for tau_end in probes:
-        nodes, fw, hp = _panel_rule(ik, prof, n, tau_end)
+        h = _panel_width(tau_end)
+        if h != built:
+            nodes, fw, hp = _panel_rule(ik, prof, n, tau_end)
+            built = h
         edge = abs(fourier_sum(nodes, fw, tau_end))
         if edge < tail_threshold:
             break

@@ -20,7 +20,6 @@ from .grids import InvariantViolation, above_floor
 from .penrose import InteractionKernel, memory_kernel, penrose_check
 
 _BLOCK = 32  # steps per block of the march
-_MARCH_ENTRIES = 4e6  # complex entries per temporary of the march (64 MB), the fourier_sum bound
 
 __all__ = [
     "ModeSeries",
@@ -73,14 +72,10 @@ class ModeSeries:
 
 
 def _samples(obj, times: np.ndarray) -> np.ndarray:
-    if callable(obj):
-        out = np.asarray(obj(times))
-        if out.shape != times.shape:
-            raise ValueError("callable must be vectorized over the time grid")
-        return out.astype(np.complex128)
-    out = np.asarray(obj, dtype=np.complex128)
+    out = np.asarray(obj(times) if callable(obj) else obj)
     if out.shape != times.shape:
-        raise ValueError(f"sample array length {out.shape} != time grid {times.shape}")
+        raise ValueError(f"samples of shape {out.shape} != time grid {times.shape}: arrays must "
+                         "align with the grid, callables be vectorized over it")
     return out
 
 
@@ -99,22 +94,25 @@ def product_trapezoid(kernel_samples: np.ndarray, forcing_samples: np.ndarray, d
 
     The steps march in blocks of ``_BLOCK`` starting at step 1, each block
     full width (K and F read as zero past the grid), so z_j does not depend
-    on n.  A block is two reductions along the last axis: its history, a
-    (B, L) Toeplitz table of dt*K lags against z[s0-L:s0], and its in-block
-    solve, the lower-triangular Toeplitz inverse of (1 - dt*K_0/2) I - dt T_B
-    applied to the block's right-hand sides.
+    on n.  A block is two ``np.einsum`` contractions over its columns: its
+    history, a (B, L) Toeplitz table of dt*K lags against z[s0-L:s0], and
+    its in-block solve, the lower-triangular Toeplitz inverse of
+    (1 - dt*K_0/2) I - dt T_B applied to the block's right-hand sides.
 
-    ``forcing_samples`` of shape (m, n+1) holds one forcing per row; the
-    rows march in groups whose temporaries stay under ``_MARCH_ENTRIES``
-    complex entries (for L <= _MARCH_ENTRIES / _BLOCK), each row exactly as
-    its own 1-D solve, and the result has the forcing's shape.  A kernel
-    with no samples, and non-finite kernel or forcing samples, are refused
+    The march computes in ``np.result_type(K, F, float64)``: real samples
+    (a real kernel, such as an even profile's, and a real forcing) march
+    in real arithmetic and give a real result, anything complex a complex
+    one.  ``forcing_samples`` of shape (m, n+1) holds one forcing per row,
+    all marched at once, each row exactly as its own 1-D solve, and the
+    result has the forcing's shape.  A kernel with no samples, and
+    non-finite kernel or forcing samples, are refused
     with a ValueError.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    K = np.asarray(kernel_samples, dtype=np.complex128)
-    F = np.asarray(forcing_samples, dtype=np.complex128)
+    K, F = np.asarray(kernel_samples), np.asarray(forcing_samples)
+    dtype = np.result_type(K, F, np.float64)
+    K, F = K.astype(dtype, copy=False), F.astype(dtype, copy=False)
     if K.ndim != 1 or F.ndim not in (1, 2) or F.shape[-1] != K.size:
         raise ValueError("kernel and forcing sample arrays must be aligned")
     if K.size == 0:
@@ -132,41 +130,29 @@ def product_trapezoid(kernel_samples: np.ndarray, forcing_samples: np.ndarray, d
     support = int(above[-1]) if above.size else 0
     width = 1 + -(-n // B) * B
     # dt*K at the lags 0..L+B-1, zero at lag 0 and past the support
-    lags = np.zeros(support + B, dtype=np.complex128)
+    lags = np.zeros(support + B, dtype=dtype)
     lags[1:support + 1] = dt * K[1:support + 1]
     # history table: row r, column c multiplies z_{s0-L+c}, at lag r+L-c
     history = lags[np.arange(B)[:, None] + support - np.arange(support)]
     # first column of the block inverse: the response to a unit right-hand side at the block's first step
-    col = np.empty(B, dtype=np.complex128)
+    col = np.empty(B, dtype=dtype)
     col[0] = 1.0 / denom
     for r in range(1, B):
         col[r] = np.add.reduce(lags[r:0:-1] * col[:r]) / denom
     offset = np.arange(B)[:, None] - np.arange(B)
     solve = np.where(offset >= 0, col[np.maximum(offset, 0)], 0.0)
-    half = np.zeros(width, dtype=np.complex128)
+    half = np.zeros(width, dtype=dtype)
     half[:n + 1] = 0.5 * dt * K
-    f = F.reshape(-1, n + 1)
-    out = np.empty(f.shape, dtype=np.complex128)
-    # rows per group: the padded rows and both block products stay under _MARCH_ENTRIES
-    group = max(1, int(_MARCH_ENTRIES // max(width, B * max(support, B))))
-    for g in range(0, f.shape[0], group):
-        z = np.zeros((min(group, f.shape[0] - g), width), dtype=np.complex128)
-        z[:, :n + 1] = f[g:g + group]
-        z0 = z[:, :1]
-        # the block products go to buffers made once per group: a fresh
-        # temporary per block can cost a page fault per page
-        past = np.empty((len(z), B, support), dtype=np.complex128)
-        inside = np.empty((len(z), B, B), dtype=np.complex128)
-        for s0 in range(1, width, B):
-            lo = max(1, s0 - support)
-            rhs = z[:, s0:s0 + B] + half[s0:s0 + B] * z0
-            if s0 > lo:
-                w = s0 - lo
-                prod = np.multiply(history[:, support - w:], z[:, None, lo:s0], out=past[..., :w])
-                rhs += np.add.reduce(prod, axis=-1)
-            z[:, s0:s0 + B] = np.add.reduce(np.multiply(solve, rhs[:, None, :], out=inside), axis=-1)
-        out[g:g + group] = z[:, :n + 1]
-    return out.reshape(F.shape)
+    z = np.zeros((F.size // K.size, width), dtype=dtype)
+    z[:, :n + 1] = F.reshape(-1, n + 1)
+    z0 = z[:, :1]
+    for s0 in range(1, width, B):
+        lo = max(1, s0 - support)
+        rhs = z[:, s0:s0 + B] + half[s0:s0 + B] * z0
+        if s0 > lo:
+            rhs += np.einsum("rc,gc->gr", history[:, support - (s0 - lo):], z[:, lo:s0])
+        np.einsum("rc,gc->gr", solve, rhs, out=z[:, s0:s0 + B])
+    return z[:, :n + 1].reshape(F.shape)
 
 
 def step_count(t_final: float, dt: float) -> int:

@@ -193,8 +193,10 @@ MATRIX_PRODUCTS = {"dot", "matmul", "tensordot", "inner", "vdot"}
 
 
 def matrix_products(path: Path) -> list:
-    """(line, what) of every `@` and numpy matrix product in a module: BLAS sums in
-    an order that depends on the thread count, so the package sums with ufunc reductions."""
+    """(line, what) of every `@`, numpy matrix product and einsum that may take
+    ``optimize`` in a module: BLAS sums in an order that depends on the thread
+    count, and an optimized einsum may hand its contraction to tensordot, so the
+    package sums with ufunc reductions and einsum's own C loop."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
@@ -202,6 +204,11 @@ def matrix_products(path: Path) -> list:
         elif (isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS
               and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
             found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "einsum"
+              and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")):
+            # a ** splat may carry optimize too
+            found += [(node.lineno, f"{node.func.value.id}.einsum({kw.arg or '**'}=)")
+                      for kw in node.keywords if kw.arg in ("optimize", None)]
     return sorted(found)
 
 
@@ -215,9 +222,13 @@ def test_checker_sees_matrix_products(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import numpy as np\nimport numpy\n@decorator\ndef f(a, b):\n    c = a @ b\n    c @= b\n"
                      "    return np.dot(a, b) + numpy.matmul(a, b) + np.tensordot(a, b, 1)\n"
-                     "g = [np.inner, np.vdot]\nh = a.dot(b) + np.add.reduce(a * b)\n")
+                     "g = [np.inner, np.vdot]\nh = a.dot(b) + np.add.reduce(a * b)\n"
+                     "e = np.einsum('ij,jk->ik', a, b, out=c) + np.einsum('ij,jk', a, b, optimize=False)\n"
+                     "e = numpy.einsum('ij,jk', a, b, optimize='greedy') + np.einsum('i', a, **kw) + x.einsum(a)\n")
     assert matrix_products(probe) == [(5, "@"), (6, "@"), (7, "np.dot"), (7, "np.tensordot"),
-                                      (7, "numpy.matmul"), (8, "np.inner"), (8, "np.vdot")]
+                                      (7, "numpy.matmul"), (8, "np.inner"), (8, "np.vdot"),
+                                      (10, "np.einsum(optimize=)"), (11, "np.einsum(**=)"),
+                                      (11, "numpy.einsum(optimize=)")]
 
 
 def scipy_imports(path: Path) -> list:

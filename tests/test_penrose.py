@@ -255,9 +255,9 @@ class TestOneRulePerQuestion:
         rules = self.count_rule_samples(monkeypatch)
         mode = H.penrose_check(ANTI, H.maxwellian(0.49), n_tau=101).modes[0]
         assert mode.tau_scan.shape[0] > 101                       # the scan was refined
-        assert mode.tau_scan[-1, 0] == 32.0 and rules() == 2      # probes at 16 and 32
+        assert mode.tau_scan[-1, 0] == 32.0 and rules() == 1      # probes at 16 and 32, one panel width
         mode = H.penrose_check(ANTI, H.maxwellian(0.2), tau_max=40.0, n_tau=101).modes[0]
-        assert mode.tau_scan.shape[0] > 101 and rules() == 3      # one probe at the given tau_max
+        assert mode.tau_scan.shape[0] > 101 and rules() == 2      # one probe at the given tau_max
 
     def test_one_rule_per_growth_rate(self, monkeypatch):
         rules = self.count_rule_samples(monkeypatch)

@@ -185,20 +185,20 @@ class TestRun:
         # per-step symmetry drift before re-enforcement stays at roundoff level
         assert np.max(traj.reality_series) <= 1e-13
 
-    def test_linear_limit_first_order_in_eps(self):
-        # the gap to the linear solve vanishes ~linearly in the coupling
-        def discrepancy(eps):
-            cfg = small_config(epsilon=eps, t_final=8.0, dt=0.02)
-            traj = H.run(cfg)
-            forcing = traj.snapshots[0].interp(1, traj.times)
-            vol = H.solve_volterra(lambda t: H.memory_kernel(COS, cfg.profile, 1, t),
-                                   forcing, dt=cfg.dt, mode=1)
-            return np.max(np.abs(traj.field_modes.mode(1) - vol.mode(1)))
+    def test_coupling_moves_z1_at_second_order_in_eps(self):
+        # single-mode data: rows 0 and +-2 start empty and z_1 feels eps only through
+        # them, so the first correction to the linear run is O(eps^2).  The eps = 0
+        # run is the reference: against the Volterra solve it carries a 7.86e-6
+        # discretization floor that would mix with the eps^2 term.
+        # Measured: max|z_1(eps) - z_1(0)| / eps^2 = 0.0910 for eps = 0.02 .. 0.0025,
+        # and the gap falls by 3.99986 and 3.99997 per halving of eps from 0.02.
+        def z1(eps):
+            return H.run(small_config(epsilon=eps, t_final=8.0, dt=0.02)).field_modes.mode(1)
 
-        eps = np.array([0.02, 0.01, 0.005])
-        gaps = np.array([discrepancy(e) for e in eps])
-        slope = np.polyfit(np.log(eps), np.log(gaps), 1)[0]
-        assert 0.8 <= slope <= 1.6, f"expected ~linear scaling, got exponent {slope}"
+        linear = z1(0.0)
+        gaps = np.array([np.max(np.abs(z1(e) - linear)) for e in (0.02, 0.01, 0.005)])
+        per_halving = gaps[:-1] / gaps[1:]
+        assert np.all((3.99 <= per_halving) & (per_halving <= 4.01)), f"gap ratios per halving {per_halving}"
 
     def test_gaussian_run_mode_envelope_decays(self):
         # stable weakly coupled run: block maxima of |z_1| fall monotonically

@@ -148,14 +148,6 @@ class TestTruncatedMarch:
         for f, z in zip(F, Z):
             assert np.array_equal(z, H.product_trapezoid(K, f, dt))
 
-    def test_row_groups_are_bitwise_one_batch(self, monkeypatch):
-        K, F, dt = kernel_and_forcing(TWO, 1.0, 1)
-        rows = np.array([F, 2j * F, F.conj()])
-        whole = H.product_trapezoid(K, rows, dt)
-        # room for two rows of the history product: the rows march in groups of 2 and 1
-        monkeypatch.setattr(volterra, "_MARCH_ENTRIES", 2 * volterra._BLOCK * support_index(K))
-        assert np.array_equal(H.product_trapezoid(K, rows, dt), whole)
-
     def test_misaligned_batch_rejected(self):
         with pytest.raises(ValueError, match="aligned"):
             H.product_trapezoid(np.ones(11), np.ones((2, 10)), 0.1)
@@ -204,6 +196,54 @@ class TestBlockGrid:
         K, F, dt = block_case(kind, n + 77)
         assert np.array_equal(H.product_trapezoid(K[:n + 1], F[:n + 1], dt),
                               H.product_trapezoid(K, F, dt)[:n + 1])
+
+
+class TestRealMarch:
+    """Real kernel and real forcing march in real arithmetic; anything complex stays complex."""
+
+    @staticmethod
+    def real_case(ik=H.InteractionKernel.cosine(), T=1.0, n=1, dt=0.02, t_final=60.0):
+        K, _, dt = kernel_and_forcing(ik, T, n, dt, t_final)
+        t = np.arange(K.size) * dt
+        return K, (1 + t * t) ** -1.5, dt
+
+    @pytest.mark.parametrize("ik, T, n", TRUNCATED_CASES)
+    def test_real_data_gives_real_result_near_the_loop(self, ik, T, n):
+        K, F, dt = self.real_case(ik, T, n)
+        assert K.dtype == np.float64
+        got = H.product_trapezoid(K, F, dt)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - reference_march(K, F, dt))) <= 1e-14 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("kind", ["zero", "short", "full"])
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 101])
+    def test_real_block_edges_match_the_loop(self, n, kind):
+        K, F, dt = block_case(kind, n)
+        F = F.real
+        got = H.product_trapezoid(K, F, dt)
+        assert got.dtype == np.float64 and got.shape == F.shape
+        assert np.max(np.abs(got - reference_march(K, F, dt))) <= 1e-14 * np.max(np.abs(got))
+
+    def test_real_kernel_complex_forcing_stays_complex(self):
+        K, F, dt = kernel_and_forcing(TWO, 1.0, 1)
+        assert K.dtype == np.float64 and F.dtype == np.complex128
+        assert H.product_trapezoid(K, F, dt).dtype == np.complex128
+
+    def test_batched_real_rows_equal_their_own_solves(self):
+        K, F, dt = self.real_case(TWO, 1.0, 1)
+        t = np.arange(K.size) * dt
+        rows = np.array([(1 + t * t) ** (-g / 2) for g in (2.0, 3.5, 6.0)] + [F])
+        Z = H.product_trapezoid(K, rows, dt)
+        assert Z.dtype == np.float64 and Z.shape == rows.shape
+        for f, z in zip(rows, Z):
+            assert np.array_equal(z, H.product_trapezoid(K, f, dt))
+
+    @pytest.mark.parametrize("n", [0, 31, 33, 1000])
+    def test_real_march_is_a_prefix_of_a_longer_march(self, n):
+        K, F, dt = self.real_case(t_final=30.0)
+        rows = np.array([F, F * F])
+        assert np.array_equal(H.product_trapezoid(K[:n + 1], rows[:, :n + 1], dt),
+                              H.product_trapezoid(K, rows, dt)[:, :n + 1])
 
 
 class TestModeSeries:
