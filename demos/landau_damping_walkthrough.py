@@ -7,10 +7,13 @@ algebraic tail <xi>^{-q}, so its regularity is exact.  The field mode
 z_1(t) = ghat_1(t, t) then damps polynomially: after the Landau transient
 (exponentially damped ringing of the linearized resolvent) it settles onto
 const * <t>^{-q}, the constant being 1/(1 - Khat(1, 0)).  The script runs the
-nonlinear dynamics at small coupling, fits the decay exponent, and compares
-against the independent product-trapezoidal solve of the causal field
-equation with the same forcing.
+nonlinear dynamics at small coupling and fits the decay exponent.  It checks
+the linear (eps = 0) run against the independent product-trapezoidal solve of
+the causal field equation with the same forcing, and measures what the
+coupling adds to z_1 against that run: the correction is second order in eps.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,12 +51,17 @@ def main() -> None:
     fslope, _ = H.decay_fit(flat, (15.0, 38.0), mode=1)
     print(f"  tail-matched weighting <t>^{tail:.0f}|z_1| is near-flat: slope {fslope:+.3f}")
 
-    # independent route: the causal field equation with the same forcing
-    forcing = traj.snapshots[0].interp(1, traj.times)
+    # independent route: the causal field equation with the same forcing, which
+    # the eps = 0 run solves up to the grid's discretization error
+    linear = H.run(replace(cfg, epsilon=0.0, check_stability=False))
+    forcing = linear.snapshots[0].interp(1, linear.times)
     vol = H.solve_volterra(lambda t: H.memory_kernel(cfg.kernel, cfg.profile, 1, t),
                            forcing, dt=cfg.dt, mode=1)
-    gap = np.max(np.abs(traj.field_modes.mode(1) - vol.mode(1)))
-    print(f"gap to the linear field-equation solve: {gap:.2e} (O(eps) as it should be)")
+    floor = np.max(np.abs(linear.field_modes.mode(1) - vol.mode(1)))
+    print(f"eps = 0 run against the linear field-equation solve: {floor:.2e} (the grid's discretization floor)")
+    # rows 0 and +-2 start empty and z_1 feels the coupling only through them
+    coupling = np.max(np.abs(traj.field_modes.mode(1) - linear.field_modes.mode(1))) / cfg.epsilon ** 2
+    print(f"  the coupling moves z_1 at second order: max|z_1(eps) - z_1(0)| / eps^2 = {coupling:.4f}")
 
     ratio = abs(traj.field_modes.mode(1)[-1]) * (1 + t_final ** 2) ** (tail / 2)
     khat0 = float(np.real(H.memory_kernel_transform(cfg.kernel, cfg.profile, 1, 0.0)))

@@ -54,8 +54,8 @@ class SimConfig:
     ``s`` is the regularity index used by the norm monitors; the norm ladder
     H^0..H^s is taken with the snapshots, at ``snapshot_steps``, the one
     record schedule (``record_every`` sets it).  The frequency window must satisfy
-    xi_max >= n_max * t_final + 4*dxi so the self-consistent reads xi = k*t
-    and all shifted reads stay interpolable for the whole run.
+    xi_max >= n_max * t_final + 4*dxi so the self-consistent reads xi = k*t stay
+    a read's reach inside the grid all run (shifted reads are zero-extended).
     """
 
     grid: PhaseGrid
@@ -83,6 +83,27 @@ class SimConfig:
     def snapshot_steps(self) -> np.ndarray:
         """The steps at which run() records a snapshot and the norm ladder: every ``record_every``-th and the last."""
         return np.union1d(np.arange(0, self.n_steps + 1, self.record_every), [self.n_steps])
+
+    @property
+    def times(self) -> np.ndarray:
+        """The step grid, every step's time: ``arange(n_steps + 1) * dt``."""
+        return np.arange(self.n_steps + 1) * self.dt
+
+    @property
+    def reached_modes(self) -> set:
+        """The rows a run's data can make nonzero: the perturbed rows +-mode and, at eps > 0,
+        every a + k with a and k reached, k an active mode of the kernel and |a + k| <= n_max
+        (row n takes z_k times row n - k); at eps = 0 each row keeps to itself, and a row
+        outside the set stays exactly 0."""
+        rows = {sign * q.mode for q in self.perturbations if q.amplitude > 0 for sign in (1, -1)}
+        if self.epsilon == 0.0:
+            return rows
+        active = {sign * k for k in self.kernel.active_modes() for sign in (1, -1)}
+        while True:
+            more = {a + k for a in rows for k in rows & active if abs(a + k) <= self.grid.n_max} - rows
+            if not more:
+                return rows
+            rows |= more
 
     def validate(self) -> None:
         g = self.grid
@@ -152,7 +173,7 @@ def extract_field_modes(values: np.ndarray, t: float, kernel: InteractionKernel,
         if abs(target) > edge:
             raise RuntimeError(
                 f"field-mode read xi = {target:.6g} for mode {k} leaves the safe window "
-                f"|xi| <= {edge:.6g}, two cells inside the columns held; enlarge xi_max")
+                f"|xi| <= {edge:.6g}, {MARGIN} cells inside the columns held; enlarge xi_max")
         out[k] = cubic_interp(values[grid.row(k)], grid, target)
     return out
 
@@ -181,7 +202,7 @@ class _StageFactors:
     take this case).
 
     ``columns`` are the grid columns of the arrays the factors serve, a
-    window centred on xi = 0 (see "Linear runs: the reachable band" in
+    window centred on xi = 0 (see "The reachable band" in
     docs/conventions.md).  At eps = 0 the rhs is exactly zero outside the
     forcing rows' supports, so a run whose stage times end at ``horizon``
     reaches only ``grids.window(grid, 0, M horizon + support)``, M the largest
@@ -325,10 +346,10 @@ def run(cfg: SimConfig) -> Trajectory:
     warns: runs beyond the stability region are how the instability is
     exhibited.
 
-    A linear run (eps = 0) marches only the rows and columns it can reach
-    (see "Linear runs: the reachable band" in docs/conventions.md); its
-    snapshots are on the configured grid, with every other row exactly zero
-    and every other column of the band's rows at its initial value.
+    A run marches only the rows its data reaches (``cfg.reached_modes``) and,
+    at eps = 0, the columns (see "The reachable band" in docs/conventions.md);
+    its snapshots are on the configured grid, every other row exactly zero and
+    every other column of the band's rows at its initial value.
     """
     cfg.validate()
     stability = None
@@ -338,18 +359,15 @@ def run(cfg: SimConfig) -> Trajectory:
             warnings.warn("background state fails the stability check; continuing (instability study)",
                           RuntimeWarning, stacklevel=2)
 
-    # at eps = 0 each row n is forced by z_n alone, so a row that is neither
-    # an active kernel mode nor perturbed stays zero; rows beyond the largest
-    # such |n| = r are left out of the march (with eps > 0, r = n_max)
+    # a row the data does not reach stays exactly zero; rows beyond the largest
+    # |n| = r of a reached row or an active kernel mode are left out of the march
     configured = cfg.grid
-    r = configured.n_max
-    if cfg.epsilon == 0.0:
-        r = max([1, *cfg.kernel.active_modes(), *(abs(p.mode) for p in cfg.perturbations)])
+    r = max([1, *cfg.kernel.active_modes(), *map(abs, cfg.reached_modes)])
     grid = make_grid(r, configured.xi_max, configured.n_xi, configured.m0)
     band = replace(cfg, grid=grid)
     band_rows = slice(configured.row(-r), configured.row(r) + 1)
     n_steps = cfg.n_steps
-    times = np.arange(n_steps + 1) * cfg.dt
+    times = cfg.times
     factors = _StageFactors(band, float(times[-1]))
     columns = factors.columns
 
@@ -357,7 +375,8 @@ def run(cfg: SimConfig) -> Trajectory:
     # the initial data is a fixed point of adding +0.0 and re-symmetrising:
     # those columns keep their initial values, which the snapshots are laid on
     full = np.zeros(configured.shape, dtype=np.complex128)
-    full[band_rows] = synth_initial(cfg.perturbations, grid).values
+    # a perturbation on a row outside the band has amplitude 0 and adds nothing
+    full[band_rows] = synth_initial([q for q in cfg.perturbations if abs(q.mode) <= r], grid).values
     band_full = full[band_rows]
     # the state and the step's scratch are margined rows (see grids.shift_add)
     # of the marched columns; core is the state on them
@@ -372,7 +391,6 @@ def run(cfg: SimConfig) -> Trajectory:
     snapshot_due = set(cfg.snapshot_steps.tolist())
     ladder = np.empty((len(snapshot_due), cfg.s + 1))
     snapshots = []
-    snapshot_times = []
     tw = grid.trapz_weights()
     eta_hat = np.asarray(factors.eta_hat, dtype=np.complex128)
     row0 = grid.row(0)
@@ -380,8 +398,8 @@ def run(cfg: SimConfig) -> Trajectory:
     l2_work = np.empty((2,) + grid.shape)
 
     def full_l2() -> float:
-        """||eta + eps g||_{L2} of core, which holds whole rows when eps > 0:
-        the rows n != 0 carry eps g alone."""
+        """||eta + eps g||_{L2} of core, which holds the band's whole rows when
+        eps > 0 (the rows left out are zero): the rows n != 0 carry eps g alone."""
         eps = cfg.epsilon
         if eps == 0.0:
             return background_l2
@@ -407,7 +425,6 @@ def run(cfg: SimConfig) -> Trajectory:
             band_full[:, columns] = core
             ladder[len(snapshots)] = norm_ladder(SpectralField(grid, band_full), cfg.s)
             snapshots.append(SpectralField(configured, full, real_valued=True))
-            snapshot_times.append(t)
         return zk      # the next step's k1 takes the modes of this state
 
     # the step and the drift check write into these buffers and the state is
@@ -436,7 +453,7 @@ def run(cfg: SimConfig) -> Trajectory:
         l2_series=l2,
         norm_history=ladder,
         reality_series=defects,
-        snapshot_times=np.asarray(snapshot_times),
+        snapshot_times=times[cfg.snapshot_steps],
         snapshots=snapshots,
         stability=stability,
     )

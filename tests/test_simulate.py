@@ -340,7 +340,7 @@ def marched_width(cfg):
 
 
 class TestColumnWindow:
-    """The columns a linear run marches: see "Linear runs: the reachable band" in docs/conventions.md."""
+    """The columns a linear run marches: see "The reachable band" in docs/conventions.md."""
 
     def test_benchmark_crosscheck_shape(self):
         grid = H.make_grid(4, 40.96, 2049, 1)
@@ -421,7 +421,109 @@ class TestColumnWindow:
         assert stepped.tobytes() == values.tobytes()
 
 
+M2 = H.InteractionKernel((0.5, 0.25))
+
+
+def reach_config(kernel, perturbations, epsilon, n_max, t_final=1.0, s=10):
+    """A run of ``t_final`` with steps of 0.05 on a grid of dxi = 0.1 just wide enough for n_max."""
+    xi_max = n_max * t_final + 1.0
+    grid = H.make_grid(n_max, xi_max, int(round(20 * xi_max)) + 1, 1)
+    return H.SimConfig(grid=grid, kernel=kernel, profile=H.maxwellian(1.0), perturbations=perturbations,
+                       epsilon=epsilon, dt=0.05, t_final=t_final, record_every=3, s=s, check_stability=False)
+
+
+def run_outputs(traj):
+    """Every array run() returns, by name."""
+    out = {"times": traj.times, "mass": traj.mass_series, "l2": traj.l2_series, "ladder": traj.norm_history,
+           "drift": traj.reality_series, "snapshot_times": traj.snapshot_times,
+           "snapshots": np.stack([snap.values for snap in traj.snapshots])}
+    out.update({f"z_{k}": z for k, z in traj.field_modes.values.items()})
+    return out
+
+
+class TestReachedModes:
+    """The rows a run's data reaches (``SimConfig.reached_modes``), which bound the band run() marches."""
+
+    M3 = H.InteractionKernel((0.5, 0.25, 0.1))
+    CASES = {
+        "amplitude 0 at eps 0": ((COS, (H.Perturbation(mode=1), H.Perturbation(mode=3, amplitude=0.0)), 0.0, 4),
+                                 {-1, 1}),
+        # mode-2 data under (0.5, 0.25) stays on the even rows
+        "parity": ((M2, H.Perturbation(mode=2), 0.05, 2), {-2, 0, 2}),
+        "parity at eps 0": ((M2, H.Perturbation(mode=2), 0.0, 2), {-2, 2}),
+        # rows 2 and 3 meet in row 3 - 2 = 1 through z_{-2}
+        "rows 2 and 3 meet in row 1": ((M3, (H.Perturbation(mode=2), H.Perturbation(mode=3)), 0.05, 3),
+                                       {-3, -2, -1, 0, 1, 2, 3}),
+        "mode 3 alone": ((M3, H.Perturbation(mode=3), 0.05, 3), {-3, 0, 3}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_closure(self, case):
+        args, reached = self.CASES[case]
+        assert reach_config(*args).reached_modes == reached
+
+    @pytest.fixture
+    def whole_grid(self, monkeypatch):
+        """run() with every row reached: the march over the whole grid."""
+        def run(cfg):
+            with monkeypatch.context() as m:
+                m.setattr(H.SimConfig, "reached_modes",
+                          property(lambda c: set(range(-c.grid.n_max, c.grid.n_max + 1))))
+                return H.run(cfg)
+
+        return run
+
+    @staticmethod
+    def marched_rows(cfg, monkeypatch):
+        """(trajectory, n_max of the band run() marches) of one run of ``cfg``."""
+        bands = []
+        make_grid = simulate.make_grid
+
+        def recorded(n_max, *args):
+            bands.append(n_max)
+            return make_grid(n_max, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "make_grid", recorded)
+            traj = H.run(cfg)
+        return traj, bands[0]
+
+    BANDS = {
+        "amplitude 0 on mode 3 at eps 0": ((COS, (H.Perturbation(mode=1, envelope="algebraic"),
+                                                  H.Perturbation(mode=3, amplitude=0.0)), 0.0, 4), 1),
+        "parity at eps 0": ((M2, H.Perturbation(mode=2), 0.0, 4), 2),
+        "mode 3 under (0.5, 0.25)": ((M2, H.Perturbation(mode=3, envelope="algebraic"), 0.05, 4), 3),
+        "parity": ((M2, H.Perturbation(mode=2, envelope="algebraic"), 0.05, 3), 2),
+    }
+
+    @pytest.mark.parametrize("case", BANDS)
+    def test_band_matches_the_whole_grid_march(self, case, monkeypatch, whole_grid):
+        args, r = self.BANDS[case]
+        cfg = reach_config(*args)
+        traj, band = self.marched_rows(cfg, monkeypatch)
+        assert band == r < cfg.grid.n_max
+        ref = run_outputs(whole_grid(cfg))
+        for name, values in run_outputs(traj).items():
+            if name == "ladder":
+                # the zero rows left out regroup the ladder's final sum
+                assert np.allclose(values, ref[name], rtol=1e-15, atol=0.0), name
+            else:
+                assert values.tobytes() == ref[name].tobytes(), name
+        if case == "parity":
+            assert np.max(np.abs(traj.field_modes.mode(2))) > 0.0 and np.all(traj.field_modes.mode(1) == 0.0)
+
+
 class TestRecordSchedule:
+    @pytest.mark.parametrize("record_every", [1, 3, 10 ** 9])
+    def test_times_are_the_step_grid(self, record_every):
+        cfg = small_config(epsilon=0.05, t_final=2.0, dt=0.05, record_every=record_every)
+        traj = H.run(cfg)
+        assert cfg.times.tobytes() == (np.arange(cfg.n_steps + 1) * cfg.dt).tobytes()
+        assert traj.times.tobytes() == cfg.times.tobytes()
+        # the times the snapshots were taken at: 0.0 for the initial state, then the step grid's
+        accumulated = [0.0] + [cfg.times[i] for i in cfg.snapshot_steps[1:]]
+        assert traj.snapshot_times.tobytes() == np.asarray(accumulated).tobytes()
+
     @pytest.mark.parametrize("record_every", [1, 3, 10 ** 9])
     @pytest.mark.parametrize("epsilon", [0.0, 0.05])
     def test_ladder_rows_are_the_snapshot_ladders(self, epsilon, record_every):
