@@ -5,8 +5,9 @@ Exit-code contract (stable, for CI consumption; _FAILURES maps errors to 2 and 3
     0  success / all assertions passed
     1  a preset assertion failed
     2  usage error: bad JSON, an unknown key or preset, a value of the wrong type,
-       a value the library rejects while the config is built, or a kernel
-       without the mode a subcommand reads (refused before it runs)
+       a value the library rejects while the config is built, a kernel without
+       the mode a subcommand reads (refused before it runs), or an --out that
+       cannot be a directory (refused before any computation)
     3  configuration invariant violation (message includes the corrected bound),
        any other ValueError of a subcommand, a Penrose scan that cannot certify
        its winding, or a non-finite state
@@ -177,13 +178,23 @@ def parse_config(path) -> tuple[SimConfig, dict]:
 # artifact writers
 # ---------------------------------------------------------------------------
 
+def _check_out(out: str) -> None:
+    """ConfigError where a file at or above ``out``, or the file system, leaves no directory to make."""
+    try:
+        existing = next(path for path in (Path(out), *Path(out).parents) if path.exists())
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc.strerror}") from exc
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is a file, not a directory")
+
+
 def _out_dir(out: str | None, tag: str) -> Path:
-    if out is not None:
-        d = Path(out)
-    else:
-        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-        d = Path(f"hmflab_{tag}_{stamp}")
-    d.mkdir(parents=True, exist_ok=True)
+    stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
+    d = Path(out if out is not None else f"hmflab_{tag}_{stamp}")
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {d}: {exc.strerror}") from exc
     return d
 
 
@@ -583,6 +594,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return _COMMANDS[args.command](args.target, args.out)
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
         code, prefix = next((code, prefix) for kind, code, prefix in _FAILURES if isinstance(exc, kind))

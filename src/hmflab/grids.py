@@ -44,7 +44,6 @@ __all__ = [
     "SpectralField",
     "make_grid",
     "cubic_interp",
-    "column_offset",
     "MARGIN",
     "window",
     "above_floor",
@@ -171,34 +170,28 @@ def _lagrange_weights(th):
             th * (th + 1.0) * (th - 1.0) / 6.0)
 
 
-def column_offset(grid: PhaseGrid, width: int) -> int:
-    """
-    The grid column of the first of ``width`` columns centred on xi = 0: 0
-    for whole rows, and (n_xi - width) / 2 for the centred window of columns
-    a linear run marches.  A ValueError unless such a window has that width.
-    """
-    offset, odd = divmod(grid.n_xi - width, 2)
-    if offset < 0 or odd:
-        raise ValueError(f"a row of {width} columns is not a centred window of the grid's {grid.n_xi}")
-    return offset
+def _stencil(grid: PhaseGrid, shift: float) -> tuple:
+    """The one four-tap stencil, the read of xi - shift from a node xi: ``(first, weights)``,
+    the first of four consecutive tap offsets from the node and their Lagrange weights.
+    From the centre node's position X = (xi_max - shift) / dxi and its floor F they are
+    F - jc - 1 .. F - jc + 2, jc = (n_xi - 1) / 2, and ``_lagrange_weights(X - F)``, which
+    every node of the uniform grid shares (the fixed-weight semi-Lagrangian shift)."""
+    x = (grid.xi_max - shift) / grid.dxi
+    f = math.floor(x)
+    return f - (grid.n_xi + 1) // 2, _lagrange_weights(x - f)
 
 
-def _read(row: np.ndarray, grid: PhaseGrid, x: float, offset: int) -> complex:
-    """The four-tap read of the complex ``row``, the columns from ``offset``
-    on, at one target, in Python scalars: the set-up of an array expression
-    would cost more than the read itself.  The position is the whole grid's,
-    and the integer offset is subtracted from its floor, which is exact."""
+def _read(row: np.ndarray, grid: PhaseGrid, x: float) -> complex:
+    """The read of the complex ``row`` at one target, the stencil at shift -x applied at its
+    centre column, in Python scalars: an array expression's set-up would cost more."""
     if abs(x) > grid.xi_max:
         return 0j
-    n = len(row)
-    pos = (x + grid.xi_max) / grid.dxi
-    i0 = math.floor(pos)
-    wm1, w0, w1, w2 = _lagrange_weights(pos - i0)
-    first = i0 - 1 - offset
-    if 0 <= first <= n - 4:
+    first, (wm1, w0, w1, w2) = _stencil(grid, -x)
+    first += len(row) // 2
+    if 0 <= first <= len(row) - 4:
         taps = row[first:first + 4].tolist()     # one call for the four Python complexes
     else:
-        taps = [complex(row[i]) if 0 <= i < n else 0j for i in range(first, first + 4)]
+        taps = [complex(row[i]) if 0 <= i < len(row) else 0j for i in range(first, first + 4)]
     return wm1 * taps[0] + w0 * taps[1] + w1 * taps[2] + w2 * taps[3]
 
 
@@ -211,16 +204,17 @@ def cubic_interp(row: np.ndarray, grid: PhaseGrid, targets):
     reproduce the stored value.  A scalar target gives a complex, an array of
     targets an array of their shape (at least 1-D), read one target at a time.
 
-    A row narrower than the grid holds its centred window of columns (see
-    :func:`column_offset`), and reads as the whole row does wherever the four
-    taps fall inside the window; taps outside it read zeros.
+    A target x is the stencil at shift -x applied at the row's centre column,
+    so a row holding the grid's centred window of columns (a linear run's)
+    reads as the whole row wherever the taps fall inside it, and zeros beyond.
     """
     row = np.asarray(row, dtype=np.complex128)
-    offset = column_offset(grid, len(row))
+    if len(row) > grid.n_xi or (grid.n_xi - len(row)) % 2:
+        raise ValueError(f"a row of {len(row)} columns is not a centred window of the grid's {grid.n_xi}")
     if np.isscalar(targets):
-        return _read(row, grid, float(targets), offset)
+        return _read(row, grid, float(targets))
     t = np.atleast_1d(np.asarray(targets, dtype=float))
-    return np.fromiter((_read(row, grid, x, offset) for x in t.flat), np.complex128, t.size).reshape(t.shape)
+    return np.fromiter((_read(row, grid, x) for x in t.flat), np.complex128, t.size).reshape(t.shape)
 
 
 def window(grid: PhaseGrid, centre: float, half: float) -> tuple:
@@ -246,20 +240,12 @@ def above_floor(values) -> np.ndarray:
 
 
 def shift_plan(grid: PhaseGrid, shift: float) -> tuple:
-    """
-    The stencil of a row shift by ``shift`` on rows of ``grid`` laid out with
-    ``MARGIN`` zero columns on each side (node j at column j + MARGIN).
-
-    Returns ``(lo, hi, taps)``: ``window(grid, shift, xi_max)`` moved by
-    ``MARGIN``, and the four (column offset, Lagrange weight) pairs.
-    On the uniform grid the fractional offset of ``xi_j - shift`` is the same
-    for every node, so every row shares one floor and four scalar weights
-    (the semi-Lagrangian shift).
-    """
-    x = -float(shift) / grid.dxi
-    f = math.floor(x)
+    """The row shift by ``shift`` on rows of ``grid`` with ``MARGIN`` zero columns on each
+    side (node j at column j + MARGIN): ``(lo, hi, taps)``, ``window(grid, shift, xi_max)``
+    moved by ``MARGIN``, and the stencil's four (column offset, Lagrange weight) pairs."""
+    first, weights = _stencil(grid, float(shift))
     lo, hi = window(grid, shift, grid.xi_max)
-    return lo + MARGIN, hi + MARGIN, tuple(zip(range(f - 1, f + 3), _lagrange_weights(x - f)))
+    return lo + MARGIN, hi + MARGIN, tuple(zip(range(first, first + 4), weights))
 
 
 def shift_add(out: np.ndarray, block: np.ndarray, plan: tuple, scale: complex, work: np.ndarray) -> None:

@@ -10,9 +10,9 @@ In the filtered ("gliding") frame the transform ghat_n(t, xi) obeys
 where z_k(t) = ghat_k(t, k t) are the self-consistent field modes and the sum
 runs over the active interaction modes.  Free transport is filtered exactly,
 so the state is read with one four-tap cubic Lagrange stencil (zero extension)
-in two ways only: at the points xi = k t (``grids.cubic_interp``), and along
-whole rows at xi - k t (``grids.shift_add``), on rows that carry
-``grids.MARGIN`` zero columns each side, so that each tap is one contiguous op.
+in two ways only: at the points xi = k t (``grids.cubic_interp``, the shift
+-k t at the centre column), and along whole rows at xi - k t (``grids.shift_add``),
+on rows that carry ``grids.MARGIN`` zero columns each side, one op per tap.
 Time stepping is classical 4-stage Runge-Kutta; the field modes are read from
 the stage states at stage times, which keeps the scheme at order 4, and once
 per state: a step's k1 takes the modes recorded for the state it starts from.
@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import (MARGIN, InvariantViolation, PhaseGrid, SpectralField, above_floor, column_offset, cubic_interp,
-                    make_grid, norm_ladder, shift_add, shift_plan, symmetrized_values, window)
+from .grids import (MARGIN, InvariantViolation, PhaseGrid, SpectralField, above_floor, cubic_interp, make_grid,
+                    norm_ladder, shift_add, shift_plan, symmetrized_values, window)
 from .penrose import InteractionKernel, PenroseReport, penrose_check
 from .profiles import HomogeneousProfile, Perturbation, profile_hat, synth_initial
 from .volterra import ModeSeries, step_count
@@ -159,14 +159,14 @@ def extract_field_modes(values: np.ndarray, t: float, kernel: InteractionKernel,
     Self-consistent field modes z_k(t) = ghat_k(t, k*t) of the state ``values``
     on ``grid``, for every active interaction mode k, by cubic interpolation in xi.
     ``values`` holds whole rows, or the centred window of columns a linear
-    run marches (see ``grids.column_offset``).
+    run marches (see ``grids.cubic_interp``).
 
     The read positions must stay the read's reach, ``MARGIN`` cells, inside
     the columns held (|k t| <= xi_max - 2*dxi on whole rows); violating that
     is a configuration bug and fails hard rather than silently truncating.
     """
     t = float(t)      # np.float64 scalar arithmetic would cost more than the read
-    edge = grid.xi_max - (column_offset(grid, values.shape[-1]) + MARGIN) * grid.dxi
+    edge = (values.shape[-1] // 2 - MARGIN) * grid.dxi
     out = {}
     for k in _active_modes(kernel):
         target = k * t

@@ -259,7 +259,31 @@ UNREACHED_MODE_1 = {
 }
 
 
+# per subcommand, an --out where no directory can be made: a file, or a path below one
+UNUSABLE_OUT = {"run-sim": "afile/sub", "penrose-check": "afile", "volterra-bench": "afile/sub/deeper",
+                "scatter": "afile", "preset": "afile"}
+
+
 class TestSubcommands:
+    @pytest.mark.parametrize("command", UNUSABLE_OUT)
+    def test_out_naming_a_file_refused_before_any_computation(self, tmp_path, command):
+        (tmp_path / "afile").write_text("kept\n")
+        config = write_config(tmp_path, TINY)
+        out = UNUSABLE_OUT[command]
+        proc = run_cli(command, "penrose-scan" if command == "preset" else config, "--out", out, cwd=tmp_path)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == f"config error: --out {out}: afile is a file, not a directory\n", proc.stderr
+        assert proc.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_out_the_file_system_refuses_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / ("x" * 300) / "sub")      # a name longer than the file system takes
+        assert main(["volterra-bench", write_config(tmp_path, TINY), "--out", out]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out}: ") and err.count("\n") == 1, err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("case", INACTIVE_MODE_1)
     @pytest.mark.parametrize("command, reader", [("run-sim", "run-sim writes z_1"), ("scatter", "scatter fits |z_1|")])
     def test_inactive_mode_1_refused_before_the_run(self, tmp_path, case, command, reader):
@@ -545,6 +569,11 @@ class TestPresets:
         assert checks and all(line.startswith(f"[PASS] {name}: ") for line in checks), checks
         assert summary == f"preset {name}: {len(checks)}/{len(checks)} assertions passed; artifacts in {out}"
         assert {p.name for p in out.iterdir()} == self.ARTIFACTS[name]
+
+    def test_preset_out_naming_a_file_is_a_config_error(self, tmp_path):
+        (tmp_path / "afile").write_text("")
+        with pytest.raises(ConfigError, match="afile"):
+            run_preset("volterra-analytic", out=str(tmp_path / "afile"))
 
     def test_preset_cli_entry(self, tmp_path):
         assert main(["preset", "volterra-analytic", "--out", str(tmp_path / "va2")]) == EXIT_OK

@@ -285,3 +285,44 @@ def test_run_paths_import_no_scipy():
     proc = subprocess.run([sys.executable, "-c", RUN_PATHS], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "10 []"
+
+
+def stencil_statements(path: Path) -> list:
+    """(function, line, what) of every floor call (``math.floor``, ``np.floor`` or a bare
+    ``floor``) and every ``_lagrange_weights`` call in a module, with the name of the
+    innermost function around it (None at module level): the two halves of a stencil
+    statement, a read position's floor and the Lagrange weights taken at its fraction."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("floor", "_lagrange_weights"):
+                found.append((function, node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_one_stencil_statement():
+    # one function floors a read position and takes the Lagrange weights at its
+    # fraction; every read, pointwise or a whole-row shift, takes its taps from it
+    found = {p.name: stencil_statements(p) for p in sorted(SRC.glob("*.py"))}
+    found = {name: [(function, what) for function, _, what in hits] for name, hits in found.items() if hits}
+    assert found == {"grids.py": [("_stencil", "floor"), ("_stencil", "_lagrange_weights")]}, found
+
+
+def test_checker_sees_stencil_statements(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import math\nimport numpy as np\nfrom math import floor\n"
+                     "def read(x):\n    f = math.floor(x)\n    return _lagrange_weights(x - f)\n"
+                     "def plan(x):\n    def inner(y):\n        return np.floor(y)\n    return floor(x) + inner(x)\n"
+                     "g = [grids._lagrange_weights(0.5), round(2.5), x // 1, math.ceil(2.5), h.floor_of(3)]\n")
+    assert stencil_statements(probe) == [("read", 5, "floor"), ("read", 6, "_lagrange_weights"),
+                                         ("inner", 9, "floor"), ("plan", 10, "floor"),
+                                         (None, 11, "_lagrange_weights")]

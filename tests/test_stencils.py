@@ -229,6 +229,19 @@ def shift_cases(grid):
     return out
 
 
+# the scattering benchmark workload's grid: 5x361, stepped by dt = 0.04 for 200 steps
+SCATTERING_GRID = H.make_grid(2, 18.0, 361, 1)
+
+
+def scattering_stage_shifts():
+    """The 2400 shifts k t of the scattering workload's run: run() shifts by k t for
+    k = +-1, +-2 at t = times[i-1], times[i-1] + dt/2 and times[i] of each step i."""
+    dt, n_steps = 0.04, 200
+    times = np.arange(n_steps + 1) * dt
+    return [k * t for i in range(1, n_steps + 1) for t in (times[i - 1], times[i - 1] + 0.5 * dt, times[i])
+            for k in (-2, -1, 1, 2)]
+
+
 def searchsorted_window(grid, shift):
     """shift_plan's window [lo, hi) in margined columns, as np.searchsorted finds it on xi - shift."""
     t = grid.xi - shift
@@ -243,18 +256,12 @@ class TestShiftPlanWindow:
             assert H.shift_plan(grid, shift)[:2] == searchsorted_window(grid, shift), f"shift {shift!r}"
 
     def test_equals_the_search_at_the_scattering_stage_times(self):
-        # the scattering benchmark workload's config: 5x361, dt = 0.04, 200 steps;
-        # run() shifts by k t at t = times[i-1], times[i-1] + dt/2 and times[i]
-        grid, dt, n_steps = H.make_grid(2, 18.0, 361, 1), 0.04, 200
-        times = np.arange(n_steps + 1) * dt
+        grid = SCATTERING_GRID
         near_whole_cell = 0
-        for i in range(1, n_steps + 1):
-            for t in (times[i - 1], times[i - 1] + 0.5 * dt, times[i]):
-                for k in (-2, -1, 1, 2):
-                    shift = k * t
-                    assert H.shift_plan(grid, shift)[:2] == searchsorted_window(grid, shift), f"shift {shift!r}"
-                    cells = shift / grid.dxi
-                    near_whole_cell += abs(cells - round(cells)) < 1e-9
+        for shift in scattering_stage_shifts():
+            assert H.shift_plan(grid, shift)[:2] == searchsorted_window(grid, shift), f"shift {shift!r}"
+            cells = shift / grid.dxi
+            near_whole_cell += abs(cells - round(cells)) < 1e-9
         # shifts on a whole cell put a node's difference at +-xi_max, to roundoff
         assert near_whole_cell > 100
 
@@ -362,6 +369,19 @@ class TestShiftAdd:
                 H.shift_add(np.zeros_like(block), block, plan, 1.0, work)
 
 
+def plan_read(row, grid, x):
+    """The read of the whole ``row`` at ``x`` through ``shift_plan(grid, -x)``: its four taps at
+    the centre column, zero-extended, summed as cubic_interp sums them; 0 where the centre
+    column is outside the plan's window (|x| > xi_max)."""
+    lo, hi, taps = H.shift_plan(grid, -x)
+    centre = grid.n_xi // 2
+    if not lo <= centre + H.grids.MARGIN < hi:
+        return 0j
+    vals = [complex(row[centre + tap]) if 0 <= centre + tap < grid.n_xi else 0j for tap, _ in taps]
+    (_, wm1), (_, w0), (_, w1), (_, w2) = taps
+    return wm1 * vals[0] + w0 * vals[1] + w1 * vals[2] + w2 * vals[3]
+
+
 class TestCubicInterp:
     def test_bitwise_equal_to_slow_path(self):
         grid = SHIFT_GRIDS[1]
@@ -391,21 +411,37 @@ class TestCubicInterp:
 
     @pytest.mark.parametrize("target_type", [float, np.float64])
     def test_window_row_reads_bitwise_as_the_whole_row(self, target_type):
-        # a linear run's rows hold the centred window of columns offset..n_xi-1-offset
+        # a linear run's rows hold the centred window of columns offset..n_xi-1-offset;
+        # 5 columns is the narrowest that holds a read's four taps
         grid = SHIFT_GRIDS[1]
         row = noise_field(np.random.default_rng(9), grid).values[0]
-        offset = 40
-        window = row[offset:grid.n_xi - offset].copy()
-        first, last = offset + 1, grid.n_xi - 3 - offset      # the cells whose four taps are in the window
-        targets = [grid.xi[j] for j in (first + 1, grid.n_xi // 2, last - 1)]                   # on node
-        targets += [grid.xi[j] + f * grid.dxi for j in (first, last) for f in (0.25, 0.5, 0.75)]  # edge cells
-        targets += list(np.random.default_rng(10).uniform(grid.xi[first + 1], grid.xi[last - 1], 20))  # off node
         bits = lambda z: np.complex128(z).tobytes()
-        for x in targets:
-            ref = slow_cubic_interp(row, grid, float(x))
-            assert bits(H.cubic_interp(window, grid, target_type(x))) == bits(ref), repr(x)
-        got = H.cubic_interp(window, grid, np.array(targets))
-        assert got.tobytes() == slow_cubic_interp(row, grid, np.array(targets)).tobytes()
+        rng = np.random.default_rng(10)
+        for width in (grid.n_xi, grid.n_xi - 2, 131, 41, 9, 7, 5):
+            offset = (grid.n_xi - width) // 2
+            window = row[offset:grid.n_xi - offset].copy()
+            first, last = offset + 1, grid.n_xi - 3 - offset      # the cells whose four taps are in the window
+            targets = [grid.xi[j] for j in (first + 1, grid.n_xi // 2, last - 1)]                   # on node
+            targets += [grid.xi[j] + f * grid.dxi for j in (first, last) for f in (0.25, 0.5, 0.75)]  # edge cells
+            targets += list(rng.uniform(grid.xi[first], grid.xi[last + 1], 20))                     # off node
+            for x in targets:
+                ref = slow_cubic_interp(row, grid, float(x))
+                assert bits(H.cubic_interp(window, grid, target_type(x))) == bits(ref), (width, repr(x))
+            got = H.cubic_interp(window, grid, np.array(targets))
+            assert got.tobytes() == slow_cubic_interp(row, grid, np.array(targets)).tobytes(), width
+
+    @pytest.mark.parametrize("grid", [*SHIFT_GRIDS, SCATTERING_GRID], ids=["dxi0.125", "dxi0.06", "scattering"])
+    def test_shift_plan_at_the_centre_column_reads_as_cubic_interp(self, grid):
+        # one stencil: the taps of shift_plan(grid, -x), applied at the centre column
+        # xi = 0, are the pointwise read at x, bitwise
+        row = noise_field(np.random.default_rng(13), grid).values[1]
+        shifts = scattering_stage_shifts() if grid is SCATTERING_GRID else shift_cases(grid)
+        targets = [-shift for shift in shifts] + [shift for shift in shifts]
+        ref = slow_cubic_interp(row, grid, np.array(targets))
+        bits = lambda z: np.complex128(z).tobytes()
+        for x, want in zip(targets, ref):
+            assert bits(plan_read(row, grid, x)) == bits(want), repr(x)
+            assert bits(H.cubic_interp(row, grid, x)) == bits(want), repr(x)
 
     @pytest.mark.parametrize("width", [SHIFT_GRIDS[0].n_xi + 2, SHIFT_GRIDS[0].n_xi - 1])
     def test_row_that_is_no_centred_window_is_refused(self, width):
