@@ -15,6 +15,7 @@ from .grids import (
     embedding_constant,
     make_grid,
     norm_ladder,
+    norm_ladders,
     shift_add,
     shift_plan,
     sobolev_norm,

@@ -30,6 +30,7 @@ Anything outside the window (|n| > n_max or |xi| > xi_max) is exactly zero.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from bisect import bisect_left, bisect_right
@@ -51,6 +52,7 @@ __all__ = [
     "shift_add",
     "sobolev_norm",
     "norm_ladder",
+    "norm_ladders",
     "embedding_constant",
     "symmetrized_values",
     "write_field_csv",
@@ -294,10 +296,13 @@ def _weight_stencil(u: np.ndarray) -> np.ndarray:
             - 16.0 * pad[..., 3:-1] + pad[..., 4:])
 
 
+_LADDER_BLOCK = 16384  # value entries per block of norm_ladders, 48 bytes each (the stack and its products): 768 kB
+
+
 @functools.lru_cache(maxsize=8)
 def _ladder_plan(grid: PhaseGrid, max_order: int):
     """
-    Static tables of :func:`norm_ladder`, cached per grid content and order.
+    Static tables of :func:`norm_ladders`, cached per grid content and order.
 
     Against the neighbour products R_d[k, j] = Re(conj(u[k, j]) u[k, j+d])
     they give, for each order q, the identity part and the first stencil
@@ -343,80 +348,112 @@ def _ladder_plan(grid: PhaseGrid, max_order: int):
     return ident, bands, kfac
 
 
-def norm_ladder(field: SpectralField, max_order: int) -> np.ndarray:
+def norm_ladders(grid: PhaseGrid, values, max_order: int) -> np.ndarray:
     """
-    All weighted Sobolev norms of ``field`` of order 0..max_order in one sweep.
+    The weighted Sobolev norms of order 0..max_order of each array of ``values``.
+
+    ``values`` is an iterable of arrays of ``grid.shape`` (views too), read
+    ``_LADDER_BLOCK`` entries at a time and stacked into one block, so memory
+    holds one block whatever their count.
 
     Returns
     -------
-    ndarray, shape (max_order + 1,)
-        ``out[n]`` is the order-n norm.  The shared building blocks
-        W_q[k] = Re <(1 - d^2)^{m0} (xi^q ghat_k), xi^q ghat_k> expand the
-        weight as sum_r binom(m0, r) S^r / (12 dxi^2)^r.  The r = 0 and r = 1
-        terms are a banded quadratic form in the neighbour products of the
-        state, formed once per call against cached coefficients (see
-        :func:`_ladder_plan`).  Higher powers, present only for m0 >= 2, are
-        evaluated as <S(h xi^q ghat), S^{r-1}(xi^q ghat)>, with h the
-        trapezoid weights over dxi, because an explicit band of S^r would
-        lose digits to cancellation.  Every order is reduced on its own in a
-        fixed order, so ``out[n]`` does not depend on ``max_order``.
+    ndarray, shape (count, max_order + 1)
+        ``out[i, n]`` is the order-n norm of the i-th array.  The shared
+        building blocks W_q[k] = Re <(1 - d^2)^{m0} (xi^q ghat_k), xi^q ghat_k>
+        expand the weight as sum_r binom(m0, r) S^r / (12 dxi^2)^r.  The r = 0
+        and r = 1 terms are a banded quadratic form in the neighbour products
+        of the state, formed once per block against cached coefficients (see
+        :func:`_ladder_plan`); each order contracts its three stencil bands
+        over the block's rows in one einsum.  Higher powers, present only for
+        m0 >= 2, are evaluated array by array as <S(h xi^q ghat), S^{r-1}(xi^q ghat)>,
+        with h the trapezoid weights over dxi, because an explicit band of S^r
+        would lose digits to cancellation.  Every entry is reduced on its own
+        in a fixed order, so ``out[i, n]`` depends neither on ``max_order``
+        nor on the other arrays.
     """
     if max_order < 0:
         raise ValueError(f"norm order must be >= 0, got {max_order}")
-    grid, u = field.grid, field.values
     ident, bands, kfac = _ladder_plan(grid, max_order)
-    n = grid.n_xi
-    work = np.empty((4,) + u.shape)
-    # products over the rows laid end to end, one pass per d; the d entries
-    # that pair a row's end with the next row are zeroed
-    flat = u.reshape(-1)
-    re, im = flat.real, flat.imag
-    size = flat.size
-    prods = work[:3].reshape(3, size)
-    tmp = work[3].reshape(size)
-    for d in range(3):
-        m = size - d
-        np.multiply(re[:m], re[d:], out=prods[d, :m])
-        prods[d, :m] += np.multiply(im[:m], im[d:], out=tmp[:m])
-    prods = work[:3]
-    prods[1, :, n - 1:] = 0.0
-    prods[2, :, n - 2:] = 0.0
-
+    rows, n = grid.shape
+    orders = max_order + 1
     scale = [grid.dxi * comb(grid.m0, r) / (12.0 * grid.dxi * grid.dxi) ** r
              for r in range(grid.m0 + 1)]
-    # identity terms have no cancellation: one reduction per (q, k) over j;
-    # the three stencil terms meet at each j before the sum over j
-    W = scale[0] * np.einsum("kj,qj->qk", prods[0], ident)
-    W += scale[1] * np.add.reduce(np.einsum("dkj,qdj->qkj", prods, bands), axis=2)
-    if grid.m0 > 1:
-        end_column = np.array([30.0, -16.0, 1.0])     # S e_0 near the first node
-        a = u
-        for q in range(max_order + 1):
-            if q:
-                a = a * grid.xi
-            right = _weight_stencil(a)
-            # S(h a) is S a less half of the two end nodes' stencil columns
-            left = right.copy()
-            left[:, :3] -= 0.5 * a[:, :1] * end_column
-            left[:, -3:] -= 0.5 * a[:, -1:] * end_column[::-1]
-            left = np.conj(left)
-            for r in range(2, grid.m0 + 1):
-                if r > 2:
-                    right = _weight_stencil(right)
-                W[q] += scale[r] * np.add.reduce((left * right).real, axis=1)
+    arrays = iter(values)
+    per_block = max(1, _LADDER_BLOCK // (rows * n))
+    out = []
+    while block := list(itertools.islice(arrays, per_block)):
+        m = len(block)
+        if any(np.shape(a) != (rows, n) for a in block):
+            raise ValueError(f"norm_ladders takes arrays of the grid's shape {grid.shape}")
+        if not out:      # the first block is the largest
+            stack = np.empty((m, rows, n), dtype=np.complex128)
+            work = np.empty((4, m * rows * n))
+        u = stack[:m]
+        np.concatenate(block, out=u.reshape(m * rows, n))
+        # products over the rows laid end to end, one pass per d; the d entries
+        # that pair a row's end with the next row are zeroed
+        flat = u.reshape(-1)
+        re, im = flat.real, flat.imag
+        size = flat.size
+        prods, part = work[:3, :size], work[3, :size]
+        for d in range(3):
+            k = size - d
+            np.multiply(re[:k], re[d:], out=prods[d, :k])
+            prods[d, :k] += np.multiply(im[:k], im[d:], out=part[:k])
+        prods = prods.reshape(3, m * rows, n)
+        part = part.reshape(m * rows, n)
+        prods[1, :, n - 1:] = 0.0
+        prods[2, :, n - 2:] = 0.0
 
-    norms2 = np.empty(max_order + 1)
-    for order in range(max_order + 1):
-        # sum over q <= order of kfac[order - q] . W[q]
-        total = float(np.add.reduce((kfac[order::-1] * W[: order + 1]).ravel()))
-        if total < 0.0:
-            # the half trapezoid weights at the window edge make the discrete
-            # form indefinite for fields that do not vanish there
-            warnings.warn(f"norm_ladder: squared order-{order} norm is negative ({total:.6e}), "
-                          f"read as 0; the field does not vanish at the window edge",
-                          RuntimeWarning, stacklevel=2)
-        norms2[order] = max(total, 0.0)
-    return np.sqrt(norms2)
+        # identity terms have no cancellation: one reduction per (q, k) over j;
+        # the three stencil terms of an order meet at each j before the sum over j
+        W = scale[0] * np.einsum("kj,qj->qk", prods[0], ident)
+        banded = np.empty((orders, m * rows))
+        for q in range(orders):
+            np.add.reduce(np.einsum("dkj,dj->kj", prods, bands[q], out=part), axis=1, out=banded[q])
+        W += scale[1] * banded
+        W = W.reshape(orders, m, rows).transpose(1, 0, 2).copy()      # field by field
+        if grid.m0 > 1:
+            end_column = np.array([30.0, -16.0, 1.0])     # S e_0 near the first node
+            for b in range(m):
+                a = u[b]
+                for q in range(orders):
+                    if q:
+                        a = a * grid.xi
+                    right = _weight_stencil(a)
+                    # S(h a) is S a less half of the two end nodes' stencil columns
+                    left = right.copy()
+                    left[:, :3] -= 0.5 * a[:, :1] * end_column
+                    left[:, -3:] -= 0.5 * a[:, -1:] * end_column[::-1]
+                    left = np.conj(left)
+                    for r in range(2, grid.m0 + 1):
+                        if r > 2:
+                            right = _weight_stencil(right)
+                        W[b, q] += scale[r] * np.add.reduce((left * right).real, axis=1)
+
+        # order o sums kfac[o - q] . W[q] over q <= o
+        totals = np.empty((orders, m))
+        for order in range(orders):
+            np.add.reduce((kfac[order::-1] * W[:, : order + 1]).reshape(m, -1), axis=1, out=totals[order])
+        totals = totals.T
+        negative = totals < 0.0
+        if negative.any():
+            for i, order in zip(*np.nonzero(negative)):
+                # the half trapezoid weights at the window edge make the discrete
+                # form indefinite for fields that do not vanish there
+                warnings.warn(f"norm_ladder: squared order-{order} norm is negative ({totals[i, order]:.6e}), "
+                              f"read as 0; the field does not vanish at the window edge",
+                              RuntimeWarning, stacklevel=2)
+            totals[negative] = 0.0
+        out.append(np.sqrt(totals))
+    return np.concatenate(out) if out else np.empty((0, orders))
+
+
+def norm_ladder(field: SpectralField, max_order: int) -> np.ndarray:
+    """All weighted Sobolev norms of ``field`` of order 0..max_order, shape (max_order + 1,):
+    the one-field case of :func:`norm_ladders`."""
+    return norm_ladders(field.grid, (field.values,), max_order)[0]
 
 
 def sobolev_norm(field: SpectralField, order: int) -> float:

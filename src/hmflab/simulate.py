@@ -20,6 +20,7 @@ per state: a step's k1 takes the modes recorded for the state it starts from.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grids import (MARGIN, InvariantViolation, PhaseGrid, SpectralField, above_floor, cubic_interp, make_grid,
-                    norm_ladder, shift_add, shift_plan, symmetrized_values, window)
+                    norm_ladders, shift_add, shift_plan, symmetrized_values, window)
 from .penrose import InteractionKernel, PenroseReport, penrose_check
 from .profiles import HomogeneousProfile, Perturbation, profile_hat, synth_initial
 from .volterra import ModeSeries, step_count
@@ -52,7 +53,7 @@ class SimConfig:
     Full description of one simulation.
 
     ``s`` is the regularity index used by the norm monitors; the norm ladder
-    H^0..H^s is taken with the snapshots, at ``snapshot_steps``, the one
+    H^0..H^s is taken of the snapshots, recorded at ``snapshot_steps``, the one
     record schedule (``record_every`` sets it).  The frequency window must satisfy
     xi_max >= n_max * t_final + 4*dxi so the self-consistent reads xi = k*t stay
     a read's reach inside the grid all run (shifted reads are zero-extended).
@@ -81,7 +82,8 @@ class SimConfig:
 
     @property
     def snapshot_steps(self) -> np.ndarray:
-        """The steps at which run() records a snapshot and the norm ladder: every ``record_every``-th and the last."""
+        """The steps at which run() records a snapshot, and so a row of the norm ladder: every
+        ``record_every``-th and the last."""
         return np.union1d(np.arange(0, self.n_steps + 1, self.record_every), [self.n_steps])
 
     @property
@@ -149,9 +151,11 @@ class Trajectory:
     stability: PenroseReport | None = None
 
 
-def _active_modes(kernel: InteractionKernel) -> list:
+@functools.lru_cache(maxsize=8)
+def _active_modes(kernel: InteractionKernel) -> tuple:
+    """The kernel's signed active modes, ascending, once per kernel content."""
     pos = kernel.active_modes()
-    return [-k for k in reversed(pos)] + pos
+    return (*(-k for k in reversed(pos)), *pos)
 
 
 def extract_field_modes(values: np.ndarray, t: float, kernel: InteractionKernel, grid: PhaseGrid) -> dict:
@@ -194,6 +198,9 @@ class _StageFactors:
       columns ``grids.window(grid, n t, support)``, one ``profile_hat`` call
       per positive mode.
 
+    ``scales[k]``, the stage scale -k p_k of mode k, and ``rows[k]``, its row,
+    are built once per run, not per stage.
+
     ``support`` is found once, from ``eta_hat``, the transform on the grid's
     nodes (which run()'s L2 monitor reuses): the last node of
     ``grids.above_floor(xi etahat(xi))``, plus one cell.  Where that reaches
@@ -226,7 +233,9 @@ class _StageFactors:
         for k in self.active:
             lo, hi = max(-grid.n_max, k - grid.n_max), min(grid.n_max, k + grid.n_max)
             self.blocks[k] = (slice(grid.row(lo), grid.row(hi) + 1), slice(grid.row(lo - k), grid.row(hi - k) + 1))
-        self.forcing = [(n, -n * cfg.kernel.coefficient(n)) for n in cfg.kernel.active_modes()]
+        self.scales = {k: -k * cfg.kernel.coefficient(k) for k in self.active}
+        self.rows = {k: grid.row(k) for k in self.active}
+        self.forcing = [(n, self.scales[n]) for n in cfg.kernel.active_modes()]
         self.eta_hat = profile_hat(cfg.profile, grid.xi)
         above = above_floor(grid.xi * self.eta_hat)
         reach = (float(np.max(np.abs(grid.xi[above]))) if above.size else 0.0) + grid.dxi
@@ -277,16 +286,15 @@ def _rhs(values: np.ndarray, t: float, modes: dict, factors: _StageFactors, out:
     written into ``out``; both are margined rows of the grid (``out`` does not alias ``values``),
     and ``out``'s margins are left zero."""
     f = factors.at(t)
-    cfg = f.cfg
     out.fill(0.0)
     if f.coupling is not None:
         for k, zk in modes.items():
             rows, source = f.blocks[k]
-            shift_add(out[rows], values[source], f.plans[k], -k * cfg.kernel.coefficient(k) * zk, f.work)
+            shift_add(out[rows], values[source], f.plans[k], f.scales[k] * zk, f.work)
         out *= f.coupling
     for n, zn in modes.items():
         columns, row = f.background[n]
-        out[cfg.grid.row(n), columns] += zn * row
+        out[f.rows[n], columns] += zn * row
     return out
 
 
@@ -341,10 +349,11 @@ def run(cfg: SimConfig) -> Trajectory:
     L2 norm of the full distribution eta + eps*g (constant for the exact
     dynamics: the flow is transport by a divergence-free Hamiltonian field)
     and the reality-symmetry defect.  At the steps of ``cfg.snapshot_steps``
-    (every ``record_every``-th and the last) it records a snapshot and the
-    Sobolev ladder H^0..H^s of that state.  An unstable background only
-    warns: runs beyond the stability region are how the instability is
-    exhibited.
+    (every ``record_every``-th and the last) it records a snapshot; after the
+    march one ``grids.norm_ladders`` call takes the Sobolev ladder H^0..H^s of
+    every snapshot, so the step loop does only the step.  An unstable
+    background only warns: runs beyond the stability region are how the
+    instability is exhibited.
 
     A run marches only the rows its data reaches (``cfg.reached_modes``) and,
     at eps = 0, the columns (see "The reachable band" in docs/conventions.md);
@@ -389,7 +398,6 @@ def run(cfg: SimConfig) -> Trajectory:
     l2 = np.empty(n_steps + 1)
     defects = np.empty(n_steps + 1)
     snapshot_due = set(cfg.snapshot_steps.tolist())
-    ladder = np.empty((len(snapshot_due), cfg.s + 1))
     snapshots = []
     tw = grid.trapz_weights()
     eta_hat = np.asarray(factors.eta_hat, dtype=np.complex128)
@@ -423,7 +431,6 @@ def run(cfg: SimConfig) -> Trajectory:
         defects[i] = defect
         if i in snapshot_due:
             band_full[:, columns] = core
-            ladder[len(snapshots)] = norm_ladder(SpectralField(grid, band_full), cfg.s)
             snapshots.append(SpectralField(configured, full, real_valued=True))
         return zk      # the next step's k1 takes the modes of this state
 
@@ -444,6 +451,8 @@ def run(cfg: SimConfig) -> Trajectory:
                 raise NonFiniteState(f"non-finite state at t={times[i]:.6g} (step {i}); aborting run")
             symmetrized_values(raw, out=state)
             modes = record(i, times[i], drift)
+        # the ladders of the snapshots' marched rows, read as views block by block
+        ladder = norm_ladders(grid, (snap.values[band_rows] for snap in snapshots), cfg.s)
 
     return Trajectory(
         config=cfg,

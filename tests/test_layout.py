@@ -326,3 +326,39 @@ def test_checker_sees_stencil_statements(tmp_path):
     assert stencil_statements(probe) == [("read", 5, "floor"), ("read", 6, "_lagrange_weights"),
                                          ("inner", 9, "floor"), ("plan", 10, "floor"),
                                          (None, 11, "_lagrange_weights")]
+
+
+def ladder_plan_reads(path: Path) -> list:
+    """(function, line) of every read of ``_ladder_plan`` in a module, a bare name or an
+    attribute, with the name of the innermost function around it (None at module level);
+    the function's own definition is no read."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if ((isinstance(node, ast.Name) and node.id == "_ladder_plan")
+                or (isinstance(node, ast.Attribute) and node.attr == "_ladder_plan")):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_one_ladder_statement():
+    # one function takes the Sobolev ladder's tables: the stacked ladder, of which
+    # norm_ladder and sobolev_norm are the one-field case
+    found = {p.name: ladder_plan_reads(p) for p in sorted(SRC.glob("*.py"))}
+    found = {name: [function for function, _ in hits] for name, hits in found.items() if hits}
+    assert found == {"grids.py": ["norm_ladders"]}, found
+
+
+def test_checker_sees_ladder_statements(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import functools\n@functools.lru_cache\ndef _ladder_plan(grid, q):\n    return grid\n"
+                     "def ladders(g):\n    return _ladder_plan(g, 3)\n"
+                     "def other(g):\n    plan = grids._ladder_plan\n    return (lambda: plan(g, 1))()\n"
+                     "tables = [_ladder_plan, _ladder_plans, ladder_plan]\n")
+    assert ladder_plan_reads(probe) == [("ladders", 6), ("other", 8), (None, 10)]

@@ -1,6 +1,7 @@
 """Gliding-frame spectral integrator: mode extraction, right-hand side, stepping."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +65,17 @@ class TestExtractFieldModes:
             assert H.extract_field_modes(window, t, COS, grid) == H.extract_field_modes(values, t, COS, grid)
         with pytest.raises(RuntimeError, match="safe window"):
             H.extract_field_modes(window, 5.01, COS, grid)
+
+    def test_signed_modes_once_per_kernel_content(self):
+        # kernels built separately with equal coefficients share one tuple
+        a, b = H.InteractionKernel((0.5, 0.0, 0.25)), H.InteractionKernel((0.5, 0.0, 0.25))
+        assert a is not b
+        assert simulate._active_modes(a) == (-3, -1, 1, 3)
+        assert simulate._active_modes(a) is simulate._active_modes(b)
+        assert simulate._active_modes(H.InteractionKernel((0.0, 0.25))) == (-2, 2)
+        grid = H.make_grid(3, 8.0, 65, 1)
+        values = H.synth_initial([H.Perturbation(mode=1)], grid).values
+        assert list(H.extract_field_modes(values, 0.5, b, grid)) == [-3, -1, 1, 3]
 
 
 class TestAssembleRhs:
@@ -541,17 +553,49 @@ class TestRecordSchedule:
 
     @pytest.mark.parametrize("record_every", [1, 3, 10 ** 9])
     def test_run_takes_the_ladder_once_per_snapshot(self, record_every, monkeypatch):
-        calls = []
-        ladder = H.simulate.norm_ladder
+        # one stacked call, made after the last step, receives every snapshot's
+        # marched rows exactly once, as views of the snapshot
+        calls, steps = [], []
+        ladders, step = H.simulate.norm_ladders, H.simulate._step_values
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return ladder(*args, **kwargs)
+        def counted_ladders(grid, values, max_order):
+            values = list(values)
+            calls.append((len(steps), values))
+            return ladders(grid, values, max_order)
 
-        monkeypatch.setattr(H.simulate, "norm_ladder", counted)
+        def counted_step(*args):
+            steps.append(args[1])
+            return step(*args)
+
+        monkeypatch.setattr(H.simulate, "norm_ladders", counted_ladders)
+        monkeypatch.setattr(H.simulate, "_step_values", counted_step)
         cfg = small_config(epsilon=0.05, t_final=2.0, dt=0.05, record_every=record_every)
-        H.run(cfg)
-        assert len(calls) == len(cfg.snapshot_steps)
+        traj = H.run(cfg)
+        assert [after for after, _ in calls] == [cfg.n_steps]
+        fields = calls[0][1]
+        owners = [[j for j, snap in enumerate(traj.snapshots) if np.shares_memory(values, snap.values)]
+                  for values in fields]
+        assert owners == [[j] for j in range(len(cfg.snapshot_steps))]
+
+    def test_memory_grows_with_the_snapshots_alone(self):
+        # what run() holds beyond its snapshots' values (the march's buffers, the
+        # ladder's block of 18 fields, the per-step series and the snapshots' own
+        # objects) moves by under 1.5 kB per step from 50 to 400 steps, where one
+        # stack of every snapshot's ladder terms would take 48 bytes per entry,
+        # 43 kB per step, on this 5 x 181 grid
+        peaks = []
+        for n_steps in (50, 400):
+            cfg = small_config(epsilon=0.05, t_final=4.0, dt=4.0 / n_steps, record_every=1)
+            H.run(cfg)      # the caches a first run fills
+            tracemalloc.start()
+            try:
+                traj = H.run(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(traj.snapshots) == n_steps + 1
+            peaks.append(peak - sum(snap.values.nbytes for snap in traj.snapshots))
+        assert abs(peaks[1] - peaks[0]) <= 512 * 1024, peaks
 
 
 def tabulated_maxwellian():

@@ -2,13 +2,15 @@
 Hot-path stencils cross-checked against per-node loop references.
 
 ``slow_norm_ladder`` applies the weight stencil to every xi^q ghat, one
-order q at a time, and ``per_order_norm_ladder`` is the banded ladder with
-one stencil reduction per order; ``slow_cubic_interp`` reads a zero-padded
+order q at a time, and ``per_order_norm_ladder`` is the banded ladder of one
+field with one stencil reduction per order; ``slow_cubic_interp`` reads a zero-padded
 copy of a row at all targets in one array expression; ``slow_rhs``
-interpolates each (n, k) pair of rows with it.  ``grids.norm_ladder``, ``grids.cubic_interp``,
-``grids.shift_add`` and the right-hand side must agree with them.
+interpolates each (n, k) pair of rows with it.  ``grids.norm_ladders``, field by
+field, ``grids.norm_ladder``, ``grids.cubic_interp``, ``grids.shift_add`` and the
+right-hand side must agree with them.
 """
 
+import re
 import warnings
 from dataclasses import replace
 from math import comb
@@ -62,8 +64,8 @@ def slow_norm_ladder(field, max_order):
 
 
 def per_order_norm_ladder(field, max_order):
-    """``grids.norm_ladder`` with one stencil einsum and one reduction per order q,
-    the loop that one einsum over every order replaced."""
+    """The banded ladder of one field with one stencil einsum and one reduction per
+    order q, bitwise the one einsum over every order that the block contraction replaced."""
     grid, u = field.grid, field.values
     ident, bands, kfac = grids._ladder_plan(grid, max_order)
     n = grid.n_xi
@@ -200,6 +202,63 @@ class TestNormLadder:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             H.norm_ladder(random_band_limited(np.random.default_rng(0), LADDER_GRIDS[2]), 7)
+
+    @pytest.mark.parametrize("m0", [1, 2, 3])
+    def test_stacked_bitwise_per_field(self, m0):
+        # blocks of B fields: stacks one short of a block, of one, of one and
+        # one more, and of two and one more; each field as a non-contiguous view
+        # of every other row, as its transpose's transpose, or whole
+        grid = LADDER_GRIDS[m0]
+        rows, n = grid.shape
+        block = max(1, grids._LADDER_BLOCK // (rows * n))
+        assert block > 2
+        rng = np.random.default_rng(40 + m0)
+        for count in (1, block - 1, block, block + 1, 2 * block + 1):
+            fields = []
+            for i in range(count):
+                values = (random_band_limited(rng, grid) if i % 2 else noise_field(rng, grid)).values
+                if i % 3 == 1:
+                    spaced = np.zeros((2 * rows, n), dtype=np.complex128)
+                    spaced[::2] = values
+                    values = spaced[::2]
+                elif i % 3 == 2:
+                    values = np.asfortranarray(values)
+                fields.append(values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)      # noise need not vanish at the edge
+                for order in range(14):
+                    got = H.norm_ladders(grid, fields, order)
+                    assert got.shape == (count, order + 1)
+                    for i, values in enumerate(fields):
+                        ref = per_order_norm_ladder(H.SpectralField(grid, values, real_valued=False), order)
+                        assert np.array_equal(got[i], ref), (count, order, i)
+
+    def test_stacked_empty_and_lazy(self):
+        grid = LADDER_GRIDS[1]
+        assert H.norm_ladders(grid, [], 4).shape == (0, 5)
+        fields = [random_band_limited(np.random.default_rng(i), grid).values for i in range(3)]
+        assert np.array_equal(H.norm_ladders(grid, iter(fields), 4), H.norm_ladders(grid, fields, 4))
+
+    def test_negative_total_warns_once_per_field_and_order(self):
+        grid = H.make_grid(2, 5.12, 257, 2)
+        bad = [random_band_limited(np.random.default_rng(seed), grid).values for seed in (0, 1)]
+        # a repeated field warns again, and the zero field stays silent
+        fields = [bad[0], np.zeros(grid.shape), bad[1], bad[0]]
+        alone = []
+        for values in fields:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                H.norm_ladder(H.SpectralField(grid, values), 7)
+            alone.append([str(w.message) for w in caught])
+        assert alone[0] and alone[2] and not alone[1]
+        with pytest.warns(RuntimeWarning) as caught:
+            ladders = H.norm_ladders(grid, fields, 7)
+        messages = [str(w.message) for w in caught]
+        assert messages == alone[0] + alone[1] + alone[2] + alone[3]
+        for message in messages:
+            assert re.fullmatch(r"norm_ladder: squared order-\d+ norm is negative \(-\d\.\d{6}e[+-]\d\d\), read as 0; "
+                                r"the field does not vanish at the window edge", message), message
+        assert np.all(ladders[1] == 0.0)
 
     def test_plan_keyed_by_grid_content(self):
         # equal grids built separately share the cached tables; a grid that
